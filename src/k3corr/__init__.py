@@ -6,7 +6,6 @@ verification of the monomial transformation table."""
 from .correspondence import (
     LatticeIso,
     VerificationReport,
-    amoeba_map,
     common_delta,
     derive_iso,
     search_sub_reflexive,
@@ -41,7 +40,6 @@ __all__ = [
     "RowRecord",
     "VerificationReport",
     "WeightSystem",
-    "amoeba_map",
     "common_delta",
     "delta_tetrahedron",
     "derive_iso",

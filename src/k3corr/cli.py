@@ -40,12 +40,21 @@ def _read_polytope(path: str):
         raise SystemExit(USAGE_ERROR)
 
 
-def _weights_arg(text: str):
+def _newton_arg(text: str):
+    """The weight system written in text, and its Newton polytope."""
     try:
-        return weights_from_text(text)
+        ws = weights_from_text(text)
+        return ws, newton_polytope(ws)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {text}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _row_reports(row: RowRecord):
@@ -109,8 +118,7 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_newton(args) -> int:
-    ws = _weights_arg(args.weights)
-    p = newton_polytope(ws)
+    ws, p = _newton_arg(args.weights)
     print(points_to_text(p.vertices, comment=f"newton polytope of {ws}"), end="")
     return 0
 
@@ -145,7 +153,7 @@ def cmd_points(args) -> int:
 
 def cmd_picard(args) -> int:
     if "," in args.target:
-        p = newton_polytope(_weights_arg(args.target))
+        _, p = _newton_arg(args.target)
     else:
         p = _read_polytope(args.target)
     try:
@@ -168,8 +176,7 @@ def cmd_picard(args) -> int:
 
 
 def cmd_search_sub(args) -> int:
-    ws = _weights_arg(args.weights)
-    p = newton_polytope(ws)
+    ws, p = _newton_arg(args.weights)
     result = correspondence.search_sub_reflexive(
         p, max_results=args.max_results, max_depth=args.max_depth
     )
@@ -207,9 +214,8 @@ def cmd_amoeba(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    m = correspondence.amoeba_map(iso)
     print(f"# amoeba map {args.src} -> {args.dst} (log coordinates)")
-    for r in m:
+    for r in iso.u:
         print(" ".join(str(x) for x in r))
     return 0
 
@@ -251,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ss = sub.add_parser("search-sub", help="reflexive subpolytope search")
     ss.add_argument("weights")
-    ss.add_argument("--max-depth", type=int, default=3)
-    ss.add_argument("--max-results", type=int, default=64)
+    ss.add_argument("--max-depth", type=_positive_int, default=3)
+    ss.add_argument("--max-results", type=_positive_int, default=64)
     ss.set_defaults(fn=cmd_search_sub)
 
     am = sub.add_parser("amoeba", help="amoeba map between two families of a row")

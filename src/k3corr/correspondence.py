@@ -11,21 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .dataset import RowRecord
-from .intlinalg import (
-    det,
-    is_unimodular,
-    mat_inv_rational,
-    mat_inv_unimodular,
-    mat_is_integer,
-    mat_mul,
-    mat_to_int,
-    mat_vec,
-    transpose,
-)
+# fit_lattice_map's errors, under the names derive_iso has always raised
+from .intlinalg import InconsistentPairs as InconsistentColumns
+from .intlinalg import NotUnimodular as NotUnimodularMap
+from .intlinalg import RankDeficientSource as RankDeficientColumns
+from .intlinalg import fit_lattice_map, identity, is_unimodular, mat_mul
 from .picard import picard_rank
 from .polytope import (
     Polytope3,
@@ -35,18 +28,6 @@ from .polytope import (
     unimodular_equivalent,
 )
 from .weights import WeightSystem, newton_polytope
-
-
-class RankDeficientColumns(ValueError):
-    """Raised when no three columns give linearly independent source points."""
-
-
-class InconsistentColumns(ValueError):
-    """Raised when no single linear map fits all columns."""
-
-
-class NotUnimodularMap(ValueError):
-    """Raised when the fitted map is not in GL(3, Z)."""
 
 
 class NotReflexiveDelta(ValueError):
@@ -61,45 +42,14 @@ class NotContained(ValueError):
 class LatticeIso:
     """Unimodular identification of two degree-zero exponent lattices.
 
-    `u` maps source lattice coordinates to target lattice coordinates;
-    `exponent_map` is the same map written on ambient exponent 4-vectors
-    (it is integral on the source lattice and kills its orthogonal
-    complement).
+    `u` maps source lattice coordinates to target lattice coordinates.
+    Monomial coordinate changes act on the real logarithm space by the same
+    matrix, so it is also the linear map between the amoebas.
     """
 
     u: tuple[tuple[int, int, int], ...]
     source: WeightSystem
     target: WeightSystem
-
-    @property
-    def exponent_map(self) -> tuple[tuple[Fraction, ...], ...]:
-        bs = self.source.basis
-        bt = self.target.basis
-        gram_inv = mat_inv_rational(mat_mul(bs, transpose(bs)))
-        left_inv = mat_mul(gram_inv, bs)  # 3x4 with left_inv . bs^T = I
-        return mat_mul(transpose(bt), mat_mul(self.u, left_inv))
-
-    def apply(self, coords):
-        return mat_vec(self.u, coords)
-
-    def inverse(self) -> "LatticeIso":
-        return LatticeIso(
-            u=mat_inv_unimodular(self.u), source=self.target, target=self.source
-        )
-
-    def compose(self, other: "LatticeIso") -> "LatticeIso":
-        """self after other (other.target must be self.source)."""
-        if other.target != self.source:
-            raise ValueError("composition mismatch")
-        return compose_isos(self, other)
-
-
-def compose_isos(second: LatticeIso, first: LatticeIso) -> LatticeIso:
-    return LatticeIso(
-        u=mat_to_int(mat_mul(second.u, first.u)),
-        source=first.source,
-        target=second.target,
-    )
 
 
 def _column_points(row: RowRecord, weight_idx: int):
@@ -113,51 +63,21 @@ def derive_iso(row: RowRecord, from_idx: int, to_idx: int) -> LatticeIso:
     Solves on the first three linearly independent columns and verifies the
     rest; anything else is an error, never a best fit.
     """
-    src = _column_points(row, from_idx)
-    tgt = _column_points(row, to_idx)
-    trip = next(
-        (
-            t
-            for t in itertools.combinations(range(len(src)), 3)
-            if det(tuple(src[i] for i in t)) != 0
-        ),
-        None,
-    )
-    if trip is None:
-        raise RankDeficientColumns(
-            f"row {row.key}: fewer than 3 independent source columns"
+    try:
+        u = fit_lattice_map(
+            _column_points(row, from_idx), _column_points(row, to_idx)
         )
-    src_cols = transpose(tuple(src[i] for i in trip))
-    tgt_cols = transpose(tuple(tgt[i] for i in trip))
-    u = mat_mul(tgt_cols, mat_inv_rational(src_cols))
-    bad = [
-        j
-        for j, (s, t) in enumerate(zip(src, tgt))
-        if tuple(mat_vec(u, s)) != tuple(Fraction(x) for x in t)
-    ]
-    if bad:
+    except InconsistentColumns as exc:
+        j = exc.bad[0]
         raise InconsistentColumns(
-            f"row {row.key}: no linear map fits columns {bad} "
-            f"({row.column_monomials(from_idx)[bad[0]]} vs "
-            f"{row.column_monomials(to_idx)[bad[0]]})"
-        )
-    if not mat_is_integer(u):
-        raise NotUnimodularMap(f"row {row.key}: map is not integral")
-    u = mat_to_int(u)
-    if not is_unimodular(u):
-        raise NotUnimodularMap(f"row {row.key}: determinant is {det(u)}")
+            f"row {row.key}: no linear map fits columns {exc.bad} "
+            f"({row.column_monomials(from_idx)[j]} vs "
+            f"{row.column_monomials(to_idx)[j]})",
+            exc.bad,
+        ) from exc
+    except (RankDeficientColumns, NotUnimodularMap) as exc:
+        raise type(exc)(f"row {row.key}: {exc}") from exc
     return LatticeIso(u=u, source=row.weights[from_idx], target=row.weights[to_idx])
-
-
-def amoeba_map(iso: LatticeIso) -> tuple[tuple[int, int, int], ...]:
-    """Matrix of the induced linear map between amoebas.
-
-    Monomial coordinate changes act on the real logarithm space by the same
-    unimodular matrix, so amoebas of corresponding hypersurfaces match
-    linearly.
-    """
-    assert is_unimodular(iso.u)
-    return iso.u
 
 
 @lru_cache(maxsize=None)
@@ -266,8 +186,7 @@ def verify_row(row: RowRecord) -> VerificationReport:
         back = ck.run(f"iso[{row.ids[k]}->{row.ids[0]}]", lambda k=k: derive_iso(row, k, 0))
         if back is not None:
             ck.record(
-                f"iso[{pair}] inverse pair",
-                back.u == mat_inv_unimodular(iso.u),
+                f"iso[{pair}] inverse pair", mat_mul(back.u, iso.u) == identity(3)
             )
     # path independence: j -> k directly equals composite through weight 0
     for j, k in itertools.combinations(range(1, row.n_weights), 2):
@@ -277,12 +196,9 @@ def verify_row(row: RowRecord) -> VerificationReport:
                 lambda j=j, k=k: derive_iso(row, j, k),
             )
             if direct is not None:
-                composite = mat_to_int(
-                    mat_mul(isos[k].u, mat_inv_unimodular(isos[j].u))
-                )
                 ck.record(
                     f"iso[{row.ids[j]}->{row.ids[k]}] path-independent",
-                    direct.u == composite,
+                    mat_mul(direct.u, isos[j].u) == isos[k].u,
                 )
 
     delta = ck.run("common-delta reflexive+contained", lambda: common_delta(row))

@@ -39,10 +39,6 @@ class RowRecord:
     def n_weights(self) -> int:
         return len(self.weights)
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.columns)
-
     def column_monomials(self, weight_idx: int) -> tuple[Monomial, ...]:
         return tuple(col[weight_idx] for col in self.columns)
 

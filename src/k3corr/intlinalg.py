@@ -7,6 +7,7 @@ tuples of ints (or Fractions), matrices are tuples of row tuples.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -67,14 +68,16 @@ def det(m: Sequence[Sequence]):
         return m[0][0]
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if m[0][j]:
-            minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in m[1:])
-            total += sign * m[0][j] * det(minor)
-        sign = -sign
-    return total
+    return sum((-1) ** j * x * det(_minor(m, 0, j)) for j, x in enumerate(m[0]) if x)
+
+
+def _minor(m: Sequence[Sequence], i: int, j: int) -> tuple:
+    """m without row i and column j."""
+    return tuple(
+        tuple(x for c, x in enumerate(row) if c != j)
+        for r, row in enumerate(m)
+        if r != i
+    )
 
 
 def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
@@ -82,40 +85,75 @@ def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
     return det(m) in (1, -1)
 
 
-def mat_is_integer(m: Sequence[Sequence]) -> bool:
-    return all(Fraction(x).denominator == 1 for row in m for x in row)
-
-
-def mat_to_int(m: Sequence[Sequence]) -> IntMat:
-    return tuple(tuple(int(x) for x in row) for row in m)
+def adjugate(m: Sequence[Sequence]) -> tuple:
+    """Transpose of the cofactor matrix, so that m . adj(m) = det(m) I."""
+    n = len(m)
+    return tuple(
+        tuple((-1) ** (i + j) * det(_minor(m, j, i)) for j in range(n))
+        for i in range(n)
+    )
 
 
 def mat_inv_rational(m: Sequence[Sequence]) -> tuple:
     """Exact inverse over the rationals via the adjugate."""
-    n = len(m)
-    d = Fraction(det(m))
+    d = det(m)
     if d == 0:
         raise ZeroDivisionError("matrix is singular")
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != i)
-                for r in range(n)
-                if r != j
-            )
-            row.append((-1) ** (i + j) * det(minor) / d)
-        adj.append(tuple(Fraction(x) for x in row))
-    return tuple(adj)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in adjugate(m))
 
 
-def mat_inv_unimodular(m: Sequence[Sequence[int]]) -> IntMat:
-    """Integer inverse of a GL(n, Z) matrix."""
-    inv = mat_inv_rational(m)
-    if not mat_is_integer(inv):
-        raise ValueError("matrix is not unimodular")
-    return mat_to_int(inv)
+class RankDeficientSource(ValueError):
+    """Raised when no three source points are linearly independent."""
+
+
+class InconsistentPairs(ValueError):
+    """Raised when no single linear map fits every pair; `bad` lists them."""
+
+    def __init__(self, message: str, bad: list[int]):
+        super().__init__(message)
+        self.bad = bad
+
+
+class NotUnimodular(ValueError):
+    """Raised when the fitted map is not in GL(3, Z)."""
+
+
+class NotIntegral(NotUnimodular):
+    """Raised when the fitted map has a non-integer entry."""
+
+
+def independent_triple(points: Sequence[Sequence]) -> tuple[int, int, int]:
+    """Indices of the first three linearly independent points."""
+    for trip in itertools.combinations(range(len(points)), 3):
+        if det(tuple(points[i] for i in trip)):
+            return trip
+    raise RankDeficientSource("fewer than 3 independent source points")
+
+
+def fit_lattice_map(src: Sequence[Sequence], tgt: Sequence[Sequence]) -> IntMat:
+    """The U in GL(3, Z) with U.s = t for every pair (s, t) of src and tgt.
+
+    Solves det(S) U = T adj(S) on the first independent triple S of src (as
+    columns) and its targets T, then checks every pair, integrality and the
+    determinant; anything else is an error, never a best fit.
+    """
+    trip = independent_triple(src)
+    s = transpose(tuple(src[i] for i in trip))
+    d = det(s)
+    scaled = mat_mul(transpose(tuple(tgt[i] for i in trip)), adjugate(s))
+    bad = [
+        j
+        for j, (p, t) in enumerate(zip(src, tgt, strict=True))
+        if mat_vec(scaled, p) != tuple(d * x for x in t)
+    ]
+    if bad:
+        raise InconsistentPairs(f"no linear map fits pairs {bad}", bad)
+    if any(x % d for row in scaled for x in row):
+        raise NotIntegral("map is not integral")
+    u = tuple(tuple(x // d for x in row) for row in scaled)
+    if not is_unimodular(u):
+        raise NotUnimodular(f"determinant is {det(u)}")
+    return u
 
 
 def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:

@@ -48,20 +48,18 @@ class PicardBreakdown:
     edge_pairs: tuple[EdgePair, ...]
 
     def __post_init__(self):
-        assert self.rho == self.toric_part + self.correction
+        if self.rho != self.toric_part + self.correction:
+            raise AssertionError("rho is not toric part plus correction")
 
 
 def _dual_edge_map(p: Polytope3, dual: Polytope3) -> list[tuple[int, int]]:
     """For each edge of `dual`, the matching edge of p, via incidence only.
 
-    A vertex of the dual is n/c for a unique facet (n, c) of p; a dual edge
-    therefore names two facets of p, and the matching edge of p is their
-    shared vertex pair.
+    p is reflexive, so a vertex of the dual is the normal n of a unique
+    facet (n, 1) of p; a dual edge therefore names two facets of p, and the
+    matching edge of p is their shared vertex pair.
     """
-    facet_of_vertex = {}
-    for f, (n, c) in enumerate(p.facets):
-        v = tuple(x if c == 1 else Fraction(x, 1) / c for x in n)
-        facet_of_vertex[v] = f
+    facet_of_vertex = {n: f for f, (n, _) in enumerate(p.facets)}
     edge_index = {frozenset(e): i for i, e in enumerate(p.edges)}
     pairs = []
     for i, j in dual.edges:

@@ -17,15 +17,12 @@ from math import ceil, floor, lcm
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
+    NotUnimodular,
     det,
-    is_unimodular,
-    mat_is_integer,
-    mat_to_int,
-    mat_inv_rational,
-    mat_mul,
+    fit_lattice_map,
+    independent_triple,
     mat_vec,
     primitive,
-    transpose,
     vec_dot,
 )
 
@@ -229,7 +226,8 @@ class Polytope3:
                     per_edge[idx] += 1
                 else:
                     n_vertex_pts += 1
-        assert n_vertex_pts == self.n_vertices, "point classification out of sync"
+        if n_vertex_pts != self.n_vertices:
+            raise AssertionError("point classification out of sync")
         return FaceCounts(
             total=len(self.lattice_points),
             interior=interior,
@@ -248,7 +246,8 @@ class FaceCounts:
     per_edge: tuple[int, ...]  # strictly between the endpoints of each edge
 
     def __post_init__(self):
-        assert self.total >= 0 and self.interior >= 0
+        if self.total < 0 or self.interior < 0:
+            raise AssertionError("negative lattice point count")
 
 
 def hull(points: Iterable[Sequence]) -> Polytope3:
@@ -355,38 +354,25 @@ def transform(p: Polytope3, u: Sequence[Sequence[int]]) -> Polytope3:
     return hull([mat_vec(u, v) for v in p.vertices])
 
 
-def _independent_triple(p: Polytope3) -> tuple[int, int, int]:
-    for trip in itertools.combinations(range(p.n_vertices), 3):
-        if det(tuple(p.vertices[i] for i in trip)) != 0:
-            return trip
-    raise DegeneratePointSet("vertices do not span R^3")
-
-
 def unimodular_equivalent(p: Polytope3, q: Polytope3) -> Optional[tuple]:
     """A matrix U in GL(3, Z) with U.p = q as vertex sets, or None.
 
-    Brute force: map one fixed independent vertex triple of p onto every
-    ordered triple of q's vertices, solve, and check the whole vertex set.
+    Brute force: fit one fixed independent vertex triple of p onto every
+    ordered triple of q's vertices and check the whole vertex set.
     Adequate for the small vertex counts that arise here.
     """
     if (p.n_vertices, p.n_edges, p.n_facets) != (q.n_vertices, q.n_edges, q.n_facets):
         return None
     if sorted(map(len, p.facet_vertices)) != sorted(map(len, q.facet_vertices)):
         return None
-    trip = _independent_triple(p)
-    src_cols = transpose(tuple(p.vertices[i] for i in trip))
-    src_inv = mat_inv_rational(src_cols)
+    p_triple = [p.vertices[i] for i in independent_triple(p.vertices)]
     q_set = set(q.vertices)
-    p_verts = p.vertices
-    for cand in itertools.permutations(range(q.n_vertices), 3):
-        tgt_cols = transpose(tuple(q.vertices[i] for i in cand))
-        u = mat_mul(tgt_cols, src_inv)
-        if not mat_is_integer(u):
+    for cand in itertools.permutations(q.vertices, 3):
+        try:
+            u = fit_lattice_map(p_triple, cand)
+        except NotUnimodular:
             continue
-        u = mat_to_int(u)
-        if not is_unimodular(u):
-            continue
-        if {mat_vec(u, v) for v in p_verts} == q_set:
+        if {mat_vec(u, v) for v in p.vertices} == q_set:
             return u
     return None
 

@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, formats, round-trips."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from k3corr.cli import main
 from k3corr.dataset import load_rows
@@ -68,6 +71,13 @@ def test_verify_table_kv_deterministic_across_processes():
     a, b = run_once("1"), run_once("2")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_verify_table_kv_matches_benchmark_golden(capsys):
+    golden = Path(__file__).parents[1] / "perfbench" / "golden" / "table.kv"
+    code, out, _ = run(capsys, "verify-table", "--format", "kv")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
 
 
 def test_verify_table_corrupted_dataset(tmp_path, capsys):
@@ -218,6 +228,25 @@ def test_bad_weights_exit_code(capsys):
     code, _, err = run(capsys, "newton", "2,4,6,9")
     assert code == 2
     assert "well-posed" in err
+
+
+@pytest.mark.parametrize("command", ["newton", "picard", "search-sub"])
+def test_degenerate_newton_polytope_exit_code(capsys, command):
+    # the anticanonical monomials of (7,11,13,17) span only a plane
+    code, out, err = run(capsys, command, "7,11,13,17")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 7,11,13,17: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--max-depth", "-1"), ("--max-depth", "0"), ("--max-results", "0")]
+)
+def test_search_sub_rejects_limits_below_one(capsys, flag, value):
+    code, out, err = run(capsys, "search-sub", "1,1,1,1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1" in err
 
 
 def test_points_file_missing(capsys):

@@ -1,14 +1,12 @@
-"""Isomorphism derivation, row verification, swaps, amoeba maps, subpolytope search."""
+"""Isomorphism derivation, row verification, swaps, subpolytope search."""
 
 import pytest
 
 from k3corr.correspondence import (
     InconsistentColumns,
     RankDeficientColumns,
-    amoeba_map,
     common_delta,
     derive_iso,
-    compose_isos,
     search_sub_reflexive,
     verify_row,
     verify_swaps,
@@ -66,12 +64,11 @@ def test_derive_iso_inverse_and_composition(rows_by_key):
     fwd = derive_iso(row, 0, 1)
     back = derive_iso(row, 1, 0)
     assert mat_mul(fwd.u, back.u) == identity(3)
-    assert fwd.inverse().u == back.u
+    assert mat_mul(back.u, fwd.u) == identity(3)
     # a -> b -> c equals a -> c
-    ab = derive_iso(row, 0, 1)
     bc = derive_iso(row, 1, 2)
     ac = derive_iso(row, 0, 2)
-    assert compose_isos(bc, ab).u == ac.u
+    assert mat_mul(bc.u, fwd.u) == ac.u
 
 
 def test_derive_iso_all_pairs_all_rows(rows):
@@ -90,7 +87,7 @@ def test_derive_iso_inconsistent_columns(rows_by_key):
     # swapping two monomials of one side breaks the correspondence but not degrees
     cols = [list(c) for c in row.columns]
     cols[0][1], cols[1][1] = cols[1][1], cols[0][1]
-    with pytest.raises(InconsistentColumns):
+    with pytest.raises(InconsistentColumns, match=r"^row 13-72: .* \(\S+ vs \S+\)$"):
         derive_iso(row.with_columns(cols), 0, 1)
 
 
@@ -108,29 +105,6 @@ def test_derive_iso_rank_deficient():
     )
     with pytest.raises(RankDeficientColumns):
         derive_iso(row, 0, 1)
-
-
-def test_exponent_map_matches_on_ambient_vectors(rows_by_key):
-    from fractions import Fraction
-
-    from k3corr.intlinalg import from_coords
-
-    row = rows_by_key["16-54"]
-    iso = derive_iso(row, 0, 1)
-    e = iso.exponent_map
-    for col in row.columns:
-        src4 = from_coords(row.weights[0].basis, row.weights[0].monomial_point(col[0]))
-        tgt4 = from_coords(row.weights[1].basis, row.weights[1].monomial_point(col[1]))
-        image = tuple(sum(e[i][j] * src4[j] for j in range(4)) for i in range(4))
-        assert image == tuple(Fraction(x) for x in tgt4)
-
-
-def test_amoeba_map_identity_and_inverse(rows_by_key):
-    row = rows_by_key["14-28-45-51"]
-    fwd = derive_iso(row, 0, 1)
-    back = derive_iso(row, 1, 0)
-    assert amoeba_map(fwd) == fwd.u
-    assert mat_mul(amoeba_map(fwd), amoeba_map(back)) == identity(3)
 
 
 def test_common_delta_13_72(rows_by_key):

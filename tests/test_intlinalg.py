@@ -10,18 +10,27 @@ import random
 import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from k3corr.intlinalg import (
     IllPosedWeights,
+    InconsistentPairs,
     NotInLattice,
+    NotIntegral,
+    NotUnimodular,
+    RankDeficientSource,
+    adjugate,
     det,
+    fit_lattice_map,
     from_coords,
     hnf,
     identity,
+    independent_triple,
     is_unimodular,
     kernel_basis,
+    mat_inv_rational,
     mat_mul,
+    mat_vec,
     snf_invariant_factors,
     to_coords,
     to_coords_rational,
@@ -147,6 +156,80 @@ WEIGHTS = [
     (3, 5, 6, 7),
     (7, 8, 10, 25),
 ]
+
+
+@settings(max_examples=100)
+@given(st.one_of(mat_strategy(2, 2), mat_strategy(3, 3), mat_strategy(4, 4)))
+def test_adjugate_and_rational_inverse(m):
+    n = len(m)
+    d = det(m)
+    assert mat_mul(m, adjugate(m)) == tuple(tuple(d * x for x in r) for r in identity(n))
+    if d:
+        assert mat_mul(m, mat_inv_rational(m)) == identity(n)
+
+
+@st.composite
+def gl3z(draw):
+    """A GL(3, Z) matrix as a product of elementary row operations."""
+    u = [list(r) for r in identity(3)]
+    ops = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
+    for i, j, c in draw(st.lists(ops, max_size=8)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    if draw(st.booleans()):
+        u[0] = [-x for x in u[0]]
+    return tuple(tuple(r) for r in u)
+
+
+@st.composite
+def spanning_points(draw):
+    """3 to 8 integer points in any order, three of them linearly independent."""
+    triple = draw(mat_strategy(3, 3).filter(lambda m: det(m) != 0))
+    extra = draw(st.lists(st.tuples(small_ints, small_ints, small_ints), max_size=5))
+    return draw(st.permutations(list(triple) + extra))
+
+
+def _image(m, points):
+    return [mat_vec(m, p) for p in points]
+
+
+@settings(max_examples=80, deadline=None)
+@given(gl3z(), spanning_points())
+def test_fit_lattice_map_recovers_gl3z_image(u, points):
+    assert fit_lattice_map(points, _image(u, points)) == u
+
+
+@settings(max_examples=60, deadline=None)
+@given(gl3z(), spanning_points())
+def test_fit_lattice_map_rejects_det_2_and_non_integral(u, points):
+    m = mat_mul(u, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(NotUnimodular) as det_2:
+        fit_lattice_map(points, _image(m, points))
+    assert type(det_2.value) is NotUnimodular
+    assert str(det_2.value) == f"determinant is {det(m)}"
+    # the inverse map has determinant +-1/2, so it cannot be integral
+    with pytest.raises(NotIntegral):
+        fit_lattice_map(_image(m, points), points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gl3z(), spanning_points(), st.data())
+def test_fit_lattice_map_reports_inconsistent_pairs(u, points, data):
+    trip = independent_triple(points)
+    others = [j for j in range(len(points)) if j not in trip]
+    assume(others)
+    k = data.draw(st.sampled_from(others))
+    tgt = _image(u, points)
+    tgt[k] = (tgt[k][0] + 1,) + tgt[k][1:]
+    with pytest.raises(InconsistentPairs) as exc:
+        fit_lattice_map(points, tgt)
+    assert exc.value.bad == [k]
+
+
+def test_fit_lattice_map_rank_deficient():
+    plane = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0)]
+    with pytest.raises(RankDeficientSource):
+        fit_lattice_map(plane, plane)
 
 
 def test_kernel_basis_all_table_weights(rows):
