@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all good, 1 a verification check failed, 2 usage or input
-format error.  ``--format kv`` switches reports to deterministic
-machine-readable key=value lines.
+format error, 3 internal error (a toolkit bug: one ``internal error:`` line
+on stderr, never a failed check).  ``--format kv`` switches reports to
+deterministic machine-readable key=value lines.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .polytope import (
 )
 from .weights import newton_polytope, weights_from_text
 
-USAGE_ERROR = 2
 CHECK_FAILED = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _read_polytope(path: str):
@@ -37,6 +39,14 @@ def _read_polytope(path: str):
         raise SystemExit(f"error: cannot read {path}: {exc}")
     except (ValueError, DegeneratePointSet) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+
+
+def _rows_arg(path):
+    try:
+        return load_rows(path)
+    except (DatasetError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -84,15 +94,10 @@ def _kv_name(name: str) -> str:
 
 
 def cmd_verify_table(args) -> int:
-    try:
-        rows = load_rows(args.data)
-    except (DatasetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    rows = all_rows = _rows_arg(args.data)
     if args.row:
-        rows = select_rows(rows, args.row)
+        rows = select_rows(all_rows, args.row)
         if not rows:
-            all_rows = load_rows(args.data)
             print(f"no row matches {args.row!r}; available rows:", file=sys.stderr)
             for row in all_rows:
                 print(f"  {row.key}  (rank {row.rank})", file=sys.stderr)
@@ -177,15 +182,17 @@ def cmd_picard(args) -> int:
 
 def cmd_search_sub(args) -> int:
     ws, p = _newton_arg(args.weights)
-    result = correspondence.search_sub_reflexive(
-        p, max_results=args.max_results, max_depth=args.max_depth
-    )
+    try:
+        res = correspondence.search_sub_reflexive(p, args.max_results, args.max_depth)
+    except OriginNotInterior as exc:
+        print(f"error: {args.weights}: {exc}", file=sys.stderr)
+        return CHECK_FAILED
     print(
-        f"# {len(result.found)} reflexive subpolytopes of newton({ws}) "
+        f"# {len(res.found)} reflexive subpolytopes of newton({ws}) "
         f"within depth {args.max_depth}"
-        f"{' (limits exhausted)' if result.exhausted else ''}"
+        f"{' (limits exhausted)' if res.exhausted else ''}"
     )
-    for i, q in enumerate(result.found):
+    for i, q in enumerate(res.found):
         bk = picard.picard_rank(q)
         print(f"# subpolytope {i}: rho={bk.rho} l0={bk.correction}")
         print(points_to_text(q.vertices), end="")
@@ -193,13 +200,14 @@ def cmd_search_sub(args) -> int:
 
 
 def cmd_amoeba(args) -> int:
-    rows = select_rows(load_rows(args.data), args.row)
+    all_rows = _rows_arg(args.data)
+    rows = select_rows(all_rows, args.row)
     if len(rows) != 1:
         print(
             f"selector {args.row!r} matches {len(rows)} rows; use a full key:",
             file=sys.stderr,
         )
-        for row in load_rows(args.data):
+        for row in all_rows:
             print(f"  {row.key}", file=sys.stderr)
         return USAGE_ERROR
     row = rows[0]
@@ -283,6 +291,9 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return USAGE_ERROR
         return int(exc.code or 0)
+    except Exception as exc:  # a toolkit bug, kept apart from failed checks
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from .intlinalg import RankDeficientSource as RankDeficientColumns
 from .intlinalg import fit_lattice_map, identity, is_unimodular, mat_mul
 from .picard import picard_rank
 from .polytope import (
+    OriginNotInterior,
     Polytope3,
     hull,
     is_reflexive,
@@ -138,10 +139,10 @@ class _Checks:
         self.results.append(CheckResult(name, bool(passed), detail))
 
     def run(self, name: str, fn):
-        """Run fn; exceptions become failed checks, truthy results pass."""
+        """Run fn; a ValueError, as every expected failure is, fails the check."""
         try:
             value = fn()
-        except Exception as exc:  # verification never throws
+        except ValueError as exc:
             self.results.append(CheckResult(name, False, str(exc)))
             return None
         self.results.append(CheckResult(name, True, ""))
@@ -290,9 +291,12 @@ def search_sub_reflexive(
 
     Breadth-first over "drop one vertex, re-hull the remaining lattice
     points"; states that lose the origin from their interior are pruned
-    (no descendant can regain it).  Results are deduplicated up to GL(3, Z)
-    and each keeps the origin interior.
+    (no descendant can regain it, so a root without it raises
+    OriginNotInterior).  Results are deduplicated up to GL(3, Z) and each
+    keeps the origin interior.
     """
+    if not p.origin_interior:
+        raise OriginNotInterior("the root lacks the origin in its interior")
     seen: list[Polytope3] = [p]
     found: list[Polytope3] = []
     queue: list[tuple[Polytope3, int]] = [(p, 0)]

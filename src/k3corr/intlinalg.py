@@ -202,63 +202,6 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
     return h, tuple(tuple(row) for row in u)
 
 
-def snf_invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero invariant factors of the Smith normal form, in divisibility order."""
-    a = [list(r) for r in m]
-    nrows, ncols = len(a), len(a[0]) if m else 0
-    factors = []
-    top = 0
-    while top < min(nrows, ncols):
-        if all(a[i][j] == 0 for i in range(top, nrows) for j in range(top, ncols)):
-            break
-        # move a nonzero entry of least magnitude to the pivot slot
-        while True:
-            pi, pj = min(
-                (
-                    (i, j)
-                    for i in range(top, nrows)
-                    for j in range(top, ncols)
-                    if a[i][j]
-                ),
-                key=lambda ij: abs(a[ij[0]][ij[1]]),
-            )
-            a[top], a[pi] = a[pi], a[top]
-            for row in a:
-                row[top], row[pj] = row[pj], row[top]
-            p = a[top][top]
-            done = True
-            for i in range(top + 1, nrows):
-                q = a[i][top] // p
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                if a[i][top]:
-                    done = False
-            for j in range(top + 1, ncols):
-                q = a[top][j] // p
-                if q:
-                    for row in a:
-                        row[j] -= q * row[top]
-                if a[top][j]:
-                    done = False
-            if done:
-                # pivot must divide every remaining entry
-                bad = next(
-                    (
-                        (i, j)
-                        for i in range(top + 1, nrows)
-                        for j in range(top + 1, ncols)
-                        if a[i][j] % p
-                    ),
-                    None,
-                )
-                if bad is None:
-                    break
-                a[top] = [x + y for x, y in zip(a[top], a[bad[0]])]
-        factors.append(abs(a[top][top]))
-        top += 1
-    return tuple(factors)
-
-
 def check_well_posed(weights: Sequence[int]) -> None:
     if len(weights) != 4 or any(w <= 0 for w in weights):
         raise IllPosedWeights(f"need four positive weights, got {tuple(weights)}")

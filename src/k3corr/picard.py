@@ -7,9 +7,11 @@ dimension 3): with p the Newton polytope and p* its polar dual,
                     + sum_{edges E* of p*} l*(E*) . l*(E)
 
 where E is the edge of p dual to E* and l, l* count lattice points and
-relative-interior lattice points.  The correction sum is reported separately:
-it is the rank of the part of the Picard lattice not visible from the
-ambient toric resolution.
+relative-interior lattice points.  All are closed-form boundary counts (no
+lattice point is enumerated): p* is reflexive, so l(p*) is its boundary count
+plus the origin.  The correction sum is reported separately: it is the rank
+of the part of the Picard lattice not visible from the ambient toric
+resolution.
 """
 
 from __future__ import annotations
@@ -52,24 +54,20 @@ class PicardBreakdown:
             raise AssertionError("rho is not toric part plus correction")
 
 
-def _dual_edge_map(p: Polytope3, dual: Polytope3) -> list[tuple[int, int]]:
-    """For each edge of `dual`, the matching edge of p, via incidence only.
+def _dual_edge_map(p: Polytope3, dual: Polytope3) -> list[int]:
+    """For each edge of `dual`, the index of the matching edge of p.
 
     p is reflexive, so a vertex of the dual is the normal n of a unique
     facet (n, 1) of p; a dual edge therefore names two facets of p, and the
-    matching edge of p is their shared vertex pair.
+    matching edge of p is the one where those two facets meet.
     """
     facet_of_vertex = {n: f for f, (n, _) in enumerate(p.facets)}
-    edge_index = {frozenset(e): i for i, e in enumerate(p.edges)}
-    pairs = []
-    for i, j in dual.edges:
-        fi = facet_of_vertex[dual.vertices[i]]
-        fj = facet_of_vertex[dual.vertices[j]]
-        shared = set(p.facet_vertices[fi]) & set(p.facet_vertices[fj])
-        if len(shared) != 2 or frozenset(shared) not in edge_index:
-            raise AssertionError("dual edge does not match an edge of p")
-        pairs.append(edge_index[frozenset(shared)])
-    if len(set(pairs)) != len(p.edges):
+    edge_of_facets = {frozenset(fs): e for e, fs in enumerate(p.edge_facets)}
+    pairs = [
+        edge_of_facets.get(frozenset(facet_of_vertex[dual.vertices[k]] for k in edge))
+        for edge in dual.edges
+    ]
+    if len(pairs) != p.n_edges or set(pairs) != set(range(p.n_edges)):
         raise AssertionError("edge duality is not a bijection")
     return pairs
 
@@ -84,6 +82,8 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
     if not reflexive:
         raise NotReflexive("polytope is not reflexive")
     dual = polar_dual(p)
+    if not is_reflexive(dual):
+        raise AssertionError("polar dual of a reflexive polytope is not reflexive")
     dcounts = dual.face_counts
     pcounts = p.face_counts
     edge_of_dual_edge = _dual_edge_map(p, dual)
@@ -96,13 +96,15 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
         )
         for k, e in enumerate(edge_of_dual_edge)
     )
-    toric = dcounts.total - 4 - sum(dcounts.per_facet)
+    # the origin is the only interior lattice point of the reflexive dual
+    dual_points = dcounts.boundary + 1
+    toric = dual_points - 4 - sum(dcounts.per_facet)
     correction = sum(pair.contribution for pair in pairs)
     return PicardBreakdown(
         rho=toric + correction,
         toric_part=toric,
         correction=correction,
-        dual_points=dcounts.total,
+        dual_points=dual_points,
         dual_facet_interior=dcounts.per_facet,
         edge_pairs=pairs,
     )

@@ -3,8 +3,9 @@
 A polytope is built once from a point cloud by an incremental (beneath-beyond)
 convex hull over exact arithmetic, after which it is immutable: vertices in
 canonical lexicographic order, facets as primitive inward inequalities
-<n, x> >= -c, the full facet/vertex incidence, and edges.  Lattice-point
-enumeration and per-face interior counts are computed lazily and cached.
+<n, x> >= -c, the full facet/vertex incidence, and edges with the two facets
+meeting in each.  Per-face lattice point counts follow in closed form from
+that incidence (gcd and Pick); the lattice-point list is a cached box scan.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
@@ -128,12 +129,14 @@ class Polytope3:
     Use :func:`hull` to construct one; the constructor trusts its arguments.
     """
 
-    def __init__(self, vertices, facets, facet_vertices, edges):
+    def __init__(self, vertices, facets, facet_vertices, edges, edge_facets):
         self.vertices: tuple[Point, ...] = vertices
         #: (primitive inward normal, offset c):  <n, x> >= -c  for all x
         self.facets: tuple[tuple[tuple[int, int, int], int | Fraction], ...] = facets
         self.facet_vertices: tuple[tuple[int, ...], ...] = facet_vertices
         self.edges: tuple[tuple[int, int], ...] = edges
+        #: the two facets (f, g), f < g, that meet in each edge
+        self.edge_facets: tuple[tuple[int, int], ...] = edge_facets
 
     # -- basic queries ----------------------------------------------------
 
@@ -189,65 +192,43 @@ class Polytope3:
         )
 
     @cached_property
-    def _point_facet_sets(self) -> tuple[frozenset[int], ...]:
-        """For each lattice point, the set of facets it lies on."""
-        return tuple(
-            frozenset(
-                i for i, (n, c) in enumerate(self.facets) if vec_dot(n, p) == -c
-            )
-            for p in self.lattice_points
-        )
-
-    @cached_property
     def face_counts(self) -> "FaceCounts":
+        """Lattice points in each open edge and facet, in closed form.
+
+        An edge u-v holds gcd(v - u) - 1.  A facet with primitive normal n
+        has rim B = sum of its edges' gcds and normalized double area 2A =
+        sum of |((vi - v0) x (vj - v0)).n| / n.n over its edges (a fan from
+        its first vertex v0), so Pick gives (2A - B + 2)/2 interior points.
+        """
         if not self.is_lattice:
             raise ValueError("face counts are defined for lattice polytopes")
-        edge_index = {frozenset(e): i for i, e in enumerate(self.edges)}
-        facet_of_pair = {}
-        for pair, idx in edge_index.items():
-            key = frozenset(
-                f
-                for f, fv in enumerate(self.facet_vertices)
-                if pair <= set(fv)
-            )
-            facet_of_pair[key] = idx
-        interior = 0
-        per_facet = [0] * self.n_facets
-        per_edge = [0] * self.n_edges
-        n_vertex_pts = 0
-        for on in self._point_facet_sets:
-            if not on:
-                interior += 1
-            elif len(on) == 1:
-                per_facet[next(iter(on))] += 1
-            else:
-                idx = facet_of_pair.get(on)
-                if idx is not None:
-                    per_edge[idx] += 1
-                else:
-                    n_vertex_pts += 1
-        if n_vertex_pts != self.n_vertices:
-            raise AssertionError("point classification out of sync")
-        return FaceCounts(
-            total=len(self.lattice_points),
-            interior=interior,
-            per_facet=tuple(per_facet),
-            per_edge=tuple(per_edge),
-        )
+        vs = self.vertices
+        steps = [gcd(*_sub(vs[j], vs[i])) for i, j in self.edges]
+        rim, area2 = [0] * self.n_facets, [0] * self.n_facets
+        for (i, j), g, facet_pair in zip(self.edges, steps, self.edge_facets):
+            for f in facet_pair:
+                rim[f] += g
+                v0 = vs[self.facet_vertices[f][0]]
+                fan = _cross(_sub(vs[i], v0), _sub(vs[j], v0))
+                area2[f] += abs(vec_dot(fan, self.facets[f][0]))
+        per_facet = []
+        for (n, _), a, b in zip(self.facets, area2, rim):
+            twice_area, inexact = divmod(a, vec_dot(n, n))
+            if inexact or (twice_area - b) % 2 or twice_area - b + 2 < 0:
+                raise AssertionError("Pick's theorem gives no count for a facet")
+            per_facet.append((twice_area - b + 2) // 2)
+        per_edge = tuple(g - 1 for g in steps)
+        boundary = self.n_vertices + sum(per_edge) + sum(per_facet)
+        return FaceCounts(boundary, tuple(per_facet), per_edge)
 
 
 @dataclass(frozen=True)
 class FaceCounts:
-    """Lattice points split by the open face they sit on."""
+    """Lattice points on the boundary, split by the open face they sit on."""
 
-    total: int
-    interior: int
+    boundary: int
     per_facet: tuple[int, ...]  # relative interior of each facet
     per_edge: tuple[int, ...]  # strictly between the endpoints of each edge
-
-    def __post_init__(self):
-        if self.total < 0 or self.interior < 0:
-            raise AssertionError("negative lattice point count")
 
 
 def hull(points: Iterable[Sequence]) -> Polytope3:
@@ -311,16 +292,15 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     if any(len(fv) < 3 for fv in facet_vertices):
         raise AssertionError("facet with fewer than 3 vertices")
 
-    edges = sorted(
-        {
-            pair
-            for fa, fb in itertools.combinations(facet_vertices, 2)
-            for pair in [tuple(sorted(set(fa) & set(fb)))]
-            if len(pair) == 2
-        }
-    )
+    # two facets share two vertices exactly when they meet in an edge
+    facets_of_edge = {}
+    for fa, fb in itertools.combinations(range(len(facets)), 2):
+        shared = tuple(sorted(set(facet_vertices[fa]) & set(facet_vertices[fb])))
+        if len(shared) == 2:
+            facets_of_edge[shared] = (fa, fb)
+    edges, edge_facets = zip(*sorted(facets_of_edge.items()))
 
-    poly = Polytope3(vertices, facets, facet_vertices, tuple(edges))
+    poly = Polytope3(vertices, facets, facet_vertices, edges, edge_facets)
     if poly.n_vertices - poly.n_edges + poly.n_facets != 2:
         raise AssertionError("Euler relation violated; hull is inconsistent")
     if not all(poly.contains_point(p) for p in cloud):

@@ -199,6 +199,37 @@ def test_search_sub_command(capsys):
     assert "rho=14" in out
 
 
+def test_search_sub_root_without_interior_origin(capsys):
+    # no vertex deletion can put the origin back inside N(3,5,7,11)
+    code, out, err = run(capsys, "search-sub", "3,5,7,11")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 3,5,7,11: ") and len(err.splitlines()) == 1
+    assert "origin" in err
+
+
+def test_internal_error_is_not_a_failed_check(capsys, monkeypatch):
+    from k3corr import correspondence
+
+    def broken(p):
+        raise AssertionError("edge duality is not a bijection")
+
+    monkeypatch.setattr(correspondence, "picard_rank", broken)
+    code, out, err = run(capsys, "verify-table", "--row", "13-72")
+    assert code == 3
+    assert "FAIL" not in out
+    assert err == "internal error: AssertionError: edge duality is not a bijection\n"
+
+
+def test_amoeba_missing_dataset(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "amoeba", "--row", "14", "--from", "14", "--to", "28",
+        "--data", str(tmp_path / "missing.json"),
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_amoeba_command(capsys):
     code, out, _ = run(capsys, "amoeba", "--row", "14", "--from", "14", "--to", "28")
     assert code == 0

@@ -10,12 +10,15 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from k3corr.intlinalg import identity, mat_vec, primitive, vec_dot
+from k3corr.picard import picard_rank
 from k3corr.polytope import (
     DegeneratePointSet,
+    FaceCounts,
     OriginNotInterior,
+    Polytope3,
     hull,
     is_reflexive,
     parse_points_text,
@@ -304,21 +307,22 @@ def test_lattice_points_vertex_stability_oracle(rows_by_key):
 
 
 def test_face_counts_cube():
-    fc = cube().face_counts
-    assert fc.total == 27
-    assert fc.interior == 1
+    p = cube()
+    fc = p.face_counts
+    assert len(p.lattice_points) == 27
+    assert fc.boundary == 26
     assert fc.per_facet == (1,) * 6
     assert fc.per_edge == (1,) * 12
 
 
 def test_face_counts_quartic_simplex():
-    fc = quartic_simplex().face_counts
-    assert fc.total == 35
-    assert fc.interior == 1
+    p = quartic_simplex()
+    fc = p.face_counts
+    assert len(p.lattice_points) == 35
+    assert fc.boundary == 34
     assert fc.per_facet == (3,) * 4  # 15 points per triangle: 3+9 on rim
     assert fc.per_edge == (3,) * 6  # lattice length 4
 
-    p = quartic_simplex()
     edge = next(
         e
         for e in p.edges
@@ -330,8 +334,115 @@ def test_face_counts_quartic_simplex():
 def test_reflexive_interior_is_origin_only(rows_by_key):
     for p in dual_involution_cases(rows_by_key):
         if p.is_lattice and is_reflexive(p):
-            assert p.face_counts.interior == 1
+            assert len(p.lattice_points) == p.face_counts.boundary + 1
             assert p.contains_point((0, 0, 0))
+
+
+def brute_force_face_counts(p):
+    """Reference counts: classify every lattice point by the set of facets it
+    lies on.  One facet is a facet interior, the two facets whose vertex sets
+    share an edge are that edge's interior, three or more make a vertex."""
+    edge_of_facet_set = {
+        frozenset(f for f, fv in enumerate(p.facet_vertices) if set(e) <= set(fv)): k
+        for k, e in enumerate(p.edges)
+    }
+    per_facet, per_edge = [0] * p.n_facets, [0] * p.n_edges
+    boundary = n_vertex_points = 0
+    for q in p.lattice_points:
+        on = frozenset(
+            f for f, (n, c) in enumerate(p.facets) if vec_dot(n, q) == -c
+        )
+        boundary += bool(on)
+        if len(on) == 1:
+            per_facet[next(iter(on))] += 1
+        elif on in edge_of_facet_set:
+            per_edge[edge_of_facet_set[on]] += 1
+        elif on:
+            n_vertex_points += 1
+    assert n_vertex_points == p.n_vertices
+    return FaceCounts(boundary, tuple(per_facet), tuple(per_edge))
+
+
+def assert_face_counts_match(p):
+    assert p.face_counts == brute_force_face_counts(p)
+    for (i, j), (f, g) in zip(p.edges, p.edge_facets):
+        assert f < g
+        assert {i, j} <= set(p.facet_vertices[f]) & set(p.facet_vertices[g])
+
+
+def table_polytopes(rows):
+    from k3corr.correspondence import common_delta
+
+    for row in rows:
+        yield common_delta(row)
+        for ws in row.weights:
+            yield newton_polytope(ws)
+
+
+def test_face_counts_match_brute_force_on_table(rows):
+    for p in table_polytopes(rows):
+        assert_face_counts_match(p)
+        assert_face_counts_match(polar_dual(p))  # reflexive, so a lattice dual
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets)
+@example([(0, 0, 0), (4, 0, 0), (0, 3, 0), (1, 1, 4)])  # origin is a vertex
+@example([(1, 1, 1), (4, 1, 1), (1, 4, 1), (1, 1, 4)])  # origin is outside
+def test_face_counts_match_brute_force_on_random_hulls(points):
+    try:
+        p = hull(points)
+    except DegeneratePointSet:
+        return
+    assert_face_counts_match(p)
+
+
+def _random_unimodular(rnd, shears=4):
+    u = [list(r) for r in identity(3)]
+    for _ in range(shears):
+        i, j = rnd.sample(range(3), 2)
+        c = rnd.choice([-2, -1, 1, 2])
+        for k in range(3):
+            u[i][k] += c * u[j][k]
+    return tuple(tuple(r) for r in u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_sets, st.randoms(use_true_random=False))
+def test_face_counts_match_brute_force_on_gl3z_images(points, rnd):
+    try:
+        p = hull(points)
+    except DegeneratePointSet:
+        return
+    q = transform(p, _random_unimodular(rnd))
+    assert_face_counts_match(q)
+    assert q.face_counts.boundary == p.face_counts.boundary
+    assert sorted(q.face_counts.per_facet) == sorted(p.face_counts.per_facet)
+    assert sorted(q.face_counts.per_edge) == sorted(p.face_counts.per_edge)
+
+
+def test_face_counts_match_brute_force_on_gl3z_images_of_table(rows):
+    import random
+
+    rnd = random.Random(2010)
+    for p in table_polytopes(rows):
+        # few shears keep the box scan of the reference count short
+        q = transform(p, _random_unimodular(rnd, shears=2))
+        assert_face_counts_match(q)
+        assert_face_counts_match(polar_dual(q))
+
+
+def test_picard_rank_enumerates_no_lattice_points(monkeypatch):
+    p = transform(quartic_simplex(), ((1, 3, 0), (0, 1, 0), (2, 6, 1)))
+    assert picard_rank.__wrapped__(p).rho == 1  # past the cache
+    assert "lattice_points" not in vars(p)
+
+    def scan(self):
+        raise AssertionError("picard_rank enumerated lattice points")
+
+    # nor on the polar dual, which picard_rank builds and drops
+    monkeypatch.setattr(Polytope3, "lattice_points", property(scan))
+    assert picard_rank.__wrapped__(octahedron()).rho == 17
 
 
 # -- containment and equivalence -------------------------------------------------
@@ -365,18 +476,11 @@ def test_unimodular_equivalent_identity():
 @settings(max_examples=30, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_counts_invariant_under_gl3z(rnd):
-    u = [list(r) for r in identity(3)]
-    for _ in range(4):
-        i, j = rnd.sample(range(3), 2)
-        c = rnd.choice([-2, -1, 1, 2])
-        for k in range(3):
-            u[i][k] += c * u[j][k]
-    u = tuple(tuple(r) for r in u)
     p = quartic_simplex()
-    q = transform(p, u)
+    q = transform(p, _random_unimodular(rnd))
     assert (q.n_vertices, q.n_edges, q.n_facets) == (4, 6, 4)
     assert len(q.lattice_points) == 35
-    assert q.face_counts.interior == 1
+    assert len(q.lattice_points) == q.face_counts.boundary + 1
     assert sorted(q.face_counts.per_edge) == sorted(p.face_counts.per_edge)
     assert is_reflexive(q) == is_reflexive(p)
 
