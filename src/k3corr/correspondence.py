@@ -271,17 +271,18 @@ class SubReflexiveSearch:
     explored: int = 0
 
 
-def _drop_vertex(p: Polytope3, v_idx: int):
-    pts = [q for q in p.lattice_points if q != p.vertices[v_idx]]
-    if len(pts) < 4:
-        return None
+def _drop_vertex(p: Polytope3, points, v_idx: int):
+    """The hull of p's lattice points without vertex v_idx, and those points.
+
+    A vertex is extreme, so the child's lattice points are exactly the rest.
+    The child is None when it is degenerate or loses the interior origin.
+    """
+    rest = [q for q in points if q != p.vertices[v_idx]]
     try:
-        child = hull(pts)
+        child = hull(rest)
     except ValueError:
-        return None
-    if not child.origin_interior:
-        return None
-    return child
+        return None, rest
+    return (child if child.origin_interior else None), rest
 
 
 def search_sub_reflexive(
@@ -299,18 +300,20 @@ def search_sub_reflexive(
         raise OriginNotInterior("the root lacks the origin in its interior")
     seen: list[Polytope3] = [p]
     found: list[Polytope3] = []
-    queue: list[tuple[Polytope3, int]] = [(p, 0)]
+    queue = [(p, p.lattice_points, 0)]
     exhausted = False
     explored = 0
     while queue:
-        state, depth = queue.pop(0)
+        state, points, depth = queue.pop(0)
         if depth >= max_depth:
-            if any(_drop_vertex(state, i) for i in range(state.n_vertices)):
+            if any(
+                _drop_vertex(state, points, i)[0] for i in range(state.n_vertices)
+            ):
                 exhausted = True
             continue
         explored += 1
         for i in range(state.n_vertices):
-            child = _drop_vertex(state, i)
+            child, rest = _drop_vertex(state, points, i)
             if child is None:
                 continue
             if any(unimodular_equivalent(child, known) for known in seen):
@@ -321,7 +324,7 @@ def search_sub_reflexive(
                     exhausted = True
                     continue
                 found.append(child)
-            queue.append((child, depth + 1))
+            queue.append((child, rest, depth + 1))
     return SubReflexiveSearch(
         found=tuple(found), exhausted=exhausted, explored=explored
     )

@@ -255,24 +255,6 @@ def to_coords(basis: IntMat, m: Sequence[int]) -> IntVec:
     return tuple(coords)
 
 
-def to_coords_rational(basis: IntMat, m: Sequence) -> tuple[Fraction, ...]:
-    """Like to_coords but over Q: solves x . basis = m exactly, m rational."""
-    m = tuple(Fraction(x) for x in m)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    coords: list[Fraction] = []
-    for i, row in enumerate(basis):
-        residual = m[pivots[i]] - sum(
-            coords[k] * basis[k][pivots[i]] for k in range(i)
-        )
-        coords.append(residual / row[pivots[i]])
-    if any(
-        sum(coords[k] * basis[k][j] for k in range(len(basis))) != m[j]
-        for j in range(len(m))
-    ):
-        raise NotInLattice(f"{tuple(m)} is not in the span of the basis")
-    return tuple(coords)
-
-
 def from_coords(basis: IntMat, coords: Sequence) -> tuple:
     """Inverse of to_coords: x . basis as an ambient 4-vector."""
     return tuple(

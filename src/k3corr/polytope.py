@@ -1,16 +1,18 @@
 """Exact 3-dimensional polytopes over the rationals.
 
 A polytope is built once from a point cloud by an incremental (beneath-beyond)
-convex hull over exact arithmetic, after which it is immutable: vertices in
-canonical lexicographic order, facets as primitive inward inequalities
-<n, x> >= -c, the full facet/vertex incidence, and edges with the two facets
-meeting in each.  Per-face lattice point counts follow in closed form from
-that incidence (gcd and Pick); the lattice-point list is a cached box scan.
+convex hull over exact arithmetic, after which it is immutable.  The hull's
+triangle mesh is the one source of its combinatorics: vertices in canonical
+lexicographic order, facets as primitive inward inequalities <n, x> >= -c,
+the full facet/vertex incidence, and edges with the two facets meeting in
+each.  Per-face lattice point counts follow in closed form from that
+incidence (gcd and Pick); the lattice-point list is a cached box scan.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,7 +21,6 @@ from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
     NotUnimodular,
-    det,
     fit_lattice_map,
     independent_triple,
     mat_vec,
@@ -55,12 +56,15 @@ def _sub(u, v):
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
-def _triangle_hull(pts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """Beneath-beyond hull of integer points; returns outward-oriented triangles.
+def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
+    """Beneath-beyond hull of integer points, as a closed triangle mesh.
 
-    Points already on the current hull are skipped; every returned triangle
-    (a, b, c) has outward normal (b-a) x (c-a).  Coplanar triangles are merged
-    into facets by the caller.
+    Returns {(a, b, c): (g, s)}: each triangle's corner indices with its
+    outward normal g = (b-a) x (c-a) and offset s = <g, a>, computed once when
+    the triangle is made.  A point sees a triangle when <g, p> > s; points on
+    or inside the current hull are skipped, so a corner may lie inside a
+    facet or an edge.  Coplanar triangles are merged into facets by the
+    caller.
     """
     n = len(pts)
     i0 = 0
@@ -79,48 +83,31 @@ def _triangle_hull(pts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]
     )
     if i3 is None:
         raise DegeneratePointSet("points are coplanar")
+    if vec_dot(normal, _sub(pts[i3], pts[i0])) > 0:
+        i1, i2 = i2, i1
 
-    def oriented(a, b, c, opposite):
-        nrm = _cross(_sub(pts[b], pts[a]), _sub(pts[c], pts[a]))
-        if vec_dot(nrm, _sub(pts[opposite], pts[a])) > 0:
-            return (a, c, b)
-        return (a, b, c)
+    def plane(a, b, c):
+        g = _cross(_sub(pts[b], pts[a]), _sub(pts[c], pts[a]))
+        return g, vec_dot(g, pts[a])
 
-    faces = {
-        oriented(i0, i1, i2, i3),
-        oriented(i0, i1, i3, i2),
-        oriented(i0, i2, i3, i1),
-        oriented(i1, i2, i3, i0),
-    }
-    seeded = {i0, i1, i2, i3}
-
+    # (i0, i1, i2) faces away from i3; the other three share its orientation
+    seed = [(i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)]
+    faces = {f: plane(*f) for f in seed}
     for m in range(n):
-        if m in seeded:
+        if m in (i0, i1, i2, i3):
             continue
         p = pts[m]
-        visible = set()
-        for f in faces:
-            a = pts[f[0]]
-            nrm = _cross(_sub(pts[f[1]], a), _sub(pts[f[2]], a))
-            if vec_dot(nrm, _sub(p, a)) > 0:
-                visible.add(f)
+        visible = [f for f, (g, s) in faces.items() if vec_dot(g, p) > s]
         if not visible:
             continue
-        # horizon: directed edges of visible faces whose twin face survives
-        edge_owner = {}
-        for f in faces:
-            for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-                edge_owner[e] = f
-        horizon = [
-            e
-            for f in visible
-            for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0]))
-            if edge_owner[(e[1], e[0])] not in visible
-        ]
-        faces -= visible
-        for u, v in horizon:
-            faces.add((u, v, m))
-    return sorted(faces)
+        # horizon: directed edges of visible faces whose reverse is not visible
+        rim = {e for a, b, c in visible for e in ((a, b), (b, c), (c, a))}
+        for f in visible:
+            del faces[f]
+        for u, v in rim:
+            if (v, u) not in rim:
+                faces[u, v, m] = plane(u, v, m)
+    return faces
 
 
 class Polytope3:
@@ -235,8 +222,9 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     """Exact convex hull of rational points affinely spanning R^3.
 
     Returns the polytope with its minimal vertex set (lexicographically
-    sorted), primitive facet inequalities, incidence and edges.  Raises
-    DegeneratePointSet when the affine span has dimension < 3.
+    sorted), primitive facet inequalities, incidence and edges, all read off
+    the triangle mesh of :func:`_triangle_hull`.  Raises DegeneratePointSet
+    when the affine span has dimension < 3.
     """
     cloud = sorted({tuple(_exact(c) for c in p) for p in points})
     if len(cloud) < 4:
@@ -244,60 +232,45 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     scale = lcm(*(Fraction(c).denominator for p in cloud for c in p))
     ipts = [tuple(int(c * scale) for c in p) for p in cloud]
 
-    triangles = _triangle_hull(ipts)
+    # group the triangles by facet plane (outward form <g, x> <= s), and
+    # record the plane that owns each directed triangle edge
+    planes: dict[tuple[tuple[int, int, int], int], set[int]] = {}
+    owner = {}
+    for (a, b, c), (g, _) in _triangle_hull(ipts).items():
+        g = primitive(g)
+        plane = (g, vec_dot(g, ipts[a]))
+        planes.setdefault(plane, set()).update((a, b, c))
+        owner[a, b] = owner[b, c] = owner[c, a] = plane
 
-    # group coplanar triangles into facet planes (outward form <g, x> <= s)
-    planes: dict[tuple[tuple[int, int, int], int], None] = {}
-    for a, b, c in triangles:
-        nrm = _cross(_sub(ipts[b], ipts[a]), _sub(ipts[c], ipts[a]))
-        g = primitive(nrm)
-        planes[(g, vec_dot(g, ipts[a]))] = None
-    plane_list = list(planes)
-
-    # a point is a vertex iff its incident facet normals span R^3
-    on_plane = [
-        [i for i, q in enumerate(ipts) if vec_dot(g, q) == s]
-        for g, s in plane_list
-    ]
-    incident: dict[int, list[int]] = {}
-    for f, members in enumerate(on_plane):
-        for i in members:
-            incident.setdefault(i, []).append(f)
-    vertex_ids = []
-    for i, fs in incident.items():
-        if len(fs) < 3:
-            continue
-        normals = [plane_list[f][0] for f in fs]
-        if any(
-            det((normals[a], normals[b], normals[c]))
-            for a, b, c in itertools.combinations(range(len(normals)), 3)
-        ):
-            vertex_ids.append(i)
-    vertex_ids.sort(key=lambda i: cloud[i])
+    # a corner on three or more facet planes is a vertex (two facets of a
+    # 3-polytope share at most an edge); corner ids follow the sorted cloud
+    on_planes = Counter(i for corners in planes.values() for i in corners)
+    vertex_ids = sorted(i for i, k in on_planes.items() if k >= 3)
     renumber = {old: new for new, old in enumerate(vertex_ids)}
     vertices = tuple(cloud[i] for i in vertex_ids)
 
-    facets = []
-    facet_vertices = []
-    for (g, s), members in zip(plane_list, on_plane):
-        inward = tuple(-x for x in g)
-        facets.append((inward, _exact(Fraction(s, scale))))
-        facet_vertices.append(
-            tuple(sorted(renumber[i] for i in members if i in renumber))
-        )
-    order = sorted(range(len(facets)), key=lambda f: facets[f])
-    facets = tuple(facets[f] for f in order)
-    facet_vertices = tuple(facet_vertices[f] for f in order)
+    def inward(plane):
+        g, s = plane
+        return tuple(-x for x in g), _exact(Fraction(s, scale))
 
+    ordered = sorted(planes, key=inward)
+    index = {plane: f for f, plane in enumerate(ordered)}
+    facets = tuple(map(inward, ordered))
+    facet_vertices = tuple(
+        tuple(sorted(renumber[i] for i in planes[pl] if i in renumber))
+        for pl in ordered
+    )
     if any(len(fv) < 3 for fv in facet_vertices):
         raise AssertionError("facet with fewer than 3 vertices")
 
-    # two facets share two vertices exactly when they meet in an edge
+    # a triangle edge between two planes lies on the edge where those facets
+    # meet, whose endpoints are the two vertices the facets share
     facets_of_edge = {}
-    for fa, fb in itertools.combinations(range(len(facets)), 2):
-        shared = tuple(sorted(set(facet_vertices[fa]) & set(facet_vertices[fb])))
-        if len(shared) == 2:
-            facets_of_edge[shared] = (fa, fb)
+    for (a, b), plane in owner.items():
+        f, g = index[plane], index[owner[b, a]]
+        if f < g:
+            shared = set(facet_vertices[f]) & set(facet_vertices[g])
+            facets_of_edge[tuple(sorted(shared))] = (f, g)
     edges, edge_facets = zip(*sorted(facets_of_edge.items()))
 
     poly = Polytope3(vertices, facets, facet_vertices, edges, edge_facets)

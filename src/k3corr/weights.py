@@ -168,13 +168,15 @@ def delta_tetrahedron(ws: WeightSystem) -> Polytope3:
     """The rational tetrahedron cut out by m_i >= -1 on the degree-zero lattice.
 
     Vertex j puts every coordinate except m_j at -1, forcing
-    m_j = (d - a_j) / a_j, which need not be an integer.
+    m_j = (d - a_j) / a_j, which need not be an integer.  Scaled by a_j it is
+    an integral degree-zero vector, so it has integer lattice coordinates.
     """
     verts = []
-    for j in range(4):
-        m = [Fraction(-1)] * 4
-        m[j] = Fraction(ws.d - ws.a[j], ws.a[j])
-        verts.append(intlinalg.to_coords_rational(ws.basis, m))
+    for j, a in enumerate(ws.a):
+        m = [-a] * 4
+        m[j] = ws.d - a
+        x = intlinalg.to_coords(ws.basis, m)
+        verts.append(tuple(Fraction(c, a) for c in x))
     return hull(verts)
 
 

@@ -80,6 +80,23 @@ def test_verify_table_kv_matches_benchmark_golden(capsys):
     assert out.encode() == golden.read_bytes()
 
 
+def test_verify_table_kv_matches_golden_under_optimize():
+    """No invariant may rest on ``assert``: ``python -O`` strips it."""
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "k3corr.cli", "verify-table", "--format", "kv"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "perfbench" / "golden" / "table.kv").read_bytes()
+
+
 def test_verify_table_corrupted_dataset(tmp_path, capsys):
     rows = json.loads(
         open("src/k3corr/data/table.json", encoding="utf-8").read()

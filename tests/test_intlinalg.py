@@ -33,7 +33,6 @@ from k3corr.intlinalg import (
     mat_mul,
     mat_vec,
     to_coords,
-    to_coords_rational,
     xgcd,
 )
 
@@ -283,16 +282,3 @@ def test_to_coords_rejects_non_lattice():
     with pytest.raises(NotInLattice):
         # in the kernel over Q only after scaling: (1,6,14,21)-orthogonal? no
         to_coords(basis, (0, 7, -3, 1))
-
-
-def test_to_coords_rational():
-    from fractions import Fraction
-
-    basis = kernel_basis((2, 4, 5, 9))
-    # rational kernel vector: the tetrahedron corner with m3 = 11/9
-    m = (Fraction(-1), Fraction(-1), Fraction(-1), Fraction(11, 9))
-    assert sum(w * c for w, c in zip((2, 4, 5, 9), m)) == 0
-    x = to_coords_rational(basis, m)
-    assert from_coords(basis, x) == m
-    with pytest.raises(NotInLattice):
-        to_coords_rational(basis, (1, 1, 1, 1))  # weighted sum 20, not in span

@@ -27,7 +27,7 @@ from k3corr.polytope import (
     transform,
     unimodular_equivalent,
 )
-from k3corr.weights import WeightSystem, newton_polytope
+from k3corr.weights import WeightSystem, anticanonical_points, newton_polytope
 
 
 def cube():
@@ -185,6 +185,82 @@ def test_hull_facets_have_polygon_incidence(points):
         assert len(fv) >= 3
         for i in fv:
             assert vec_dot(n, p.vertices[i]) == -c
+
+
+def brute_force_edges(facet_vertices):
+    """Reference edges: two facets meet in an edge exactly when they share
+    two vertices.  Returns {(i, j): (f, g)} with i < j and f < g."""
+    edges = {}
+    for f, g in itertools.combinations(range(len(facet_vertices)), 2):
+        shared = set(facet_vertices[f]) & set(facet_vertices[g])
+        if len(shared) == 2:
+            edges[tuple(sorted(shared))] = (f, g)
+    return edges
+
+
+def assert_combinatorics_match(points, support=None):
+    """hull(points) against the brute-force reference, field by field.
+
+    The facets are brute_force_facets over `support` (the whole cloud by
+    default).  A smaller support, such as the hull's own vertices, keeps the
+    triple scan short; every cloud point must then satisfy those facets, so
+    they are still the facets of the cloud.  A support point is a vertex when
+    it lies on three facets, and the edges come from brute_force_edges.
+    """
+    p = hull(points)
+    cloud = {tuple(Fraction(c) for c in q) for q in points}
+    support = cloud if support is None else {
+        tuple(Fraction(c) for c in q) for q in support
+    }
+    assert support <= cloud
+    facets = sorted(brute_force_facets(support))
+    assert all(vec_dot(n, q) >= -c for n, c in facets for q in cloud)
+    assert p.facets == tuple(facets)
+    on = {
+        q: {f for f, (n, c) in enumerate(facets) if vec_dot(n, q) == -c}
+        for q in support
+    }
+    vertices = sorted(q for q, fs in on.items() if len(fs) >= 3)
+    assert p.vertices == tuple(vertices)
+    facet_vertices = tuple(
+        tuple(i for i, v in enumerate(vertices) if f in on[v])
+        for f in range(len(facets))
+    )
+    assert p.facet_vertices == facet_vertices
+    edges = brute_force_edges(facet_vertices)
+    assert p.edges == tuple(sorted(edges))
+    assert p.edge_facets == tuple(edges[e] for e in p.edges)
+
+
+dense_point_sets = st.lists(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1)),
+    min_size=4,
+    max_size=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(point_sets, dense_point_sets, rational_point_sets))
+def test_hull_combinatorics_match_brute_force(points):
+    try:
+        hull(points)
+    except DegeneratePointSet:
+        return
+    assert_combinatorics_match(points)
+
+
+def test_hull_combinatorics_on_clouds_dense_in_boundary_points(rows):
+    grid1 = [(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)]
+    cube_with_midpoints = [q for q in grid1 if sum(map(abs, q)) >= 2]
+    assert_combinatorics_match(grid1)
+    assert_combinatorics_match(cube_with_midpoints)
+    r = range(-2, 3)
+    grid2 = [(x, y, z) for x in r for y in r for z in r]
+    assert_combinatorics_match(grid2, support=hull(grid2).vertices)
+    for row in rows:
+        for ws in row.weights:
+            pts = anticanonical_points(ws)
+            assert_combinatorics_match(pts, support=hull(pts).vertices)
 
 
 # -- duality ------------------------------------------------------------------
