@@ -12,7 +12,7 @@ import sys
 
 from k3corr.correspondence import common_delta, search_sub_reflexive
 from k3corr.dataset import load_rows
-from k3corr.picard import l0_rank, picard_rank
+from k3corr.picard import picard_rank
 from k3corr.polytope import unimodular_equivalent
 from k3corr.weights import WeightSystem, newton_polytope
 
@@ -39,14 +39,15 @@ def main() -> int:
 
     print("\ndeletion closure of the {16,54} polytope:")
     delta = common_delta(rows["16-54"])
-    print(f"  root: rho={picard_rank(delta).rho} l0={l0_rank(delta)}")
+    root = picard_rank(delta)
+    print(f"  root: rho={root.rho} l0={root.correction}")
     scan = search_sub_reflexive(delta, max_depth=4)
     for q in scan.found:
         bk = picard_rank(q)
         print(f"  sub:  rho={bk.rho} l0={bk.correction}  vertices={list(q.vertices)}")
     offenders = [
         q for q in scan.found
-        if picard_rank(q).rho == rows["16-54"].rank and l0_rank(q) == 0
+        if (picard_rank(q).rho, picard_rank(q).correction) == (rows["16-54"].rank, 0)
     ]
     print(f"rank-16 subpolytopes with l0=0: {len(offenders)} "
           f"(exhausted={scan.exhausted})")

@@ -13,7 +13,7 @@ from .correspondence import (
     verify_swaps,
 )
 from .dataset import RowRecord, load_rows, select_rows
-from .picard import PicardBreakdown, l0_rank, picard_rank
+from .picard import PicardBreakdown, picard_rank
 from .polytope import (
     FaceCounts,
     Polytope3,
@@ -45,7 +45,6 @@ __all__ = [
     "derive_iso",
     "hull",
     "is_reflexive",
-    "l0_rank",
     "load_rows",
     "newton_polytope",
     "parse_monomial",

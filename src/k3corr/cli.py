@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import correspondence, picard
-from .dataset import DatasetError, RowRecord, load_rows, select_rows
+from .dataset import DatasetError, load_rows, select_rows
 from .polytope import (
     OriginNotInterior,
     hull,
@@ -66,13 +65,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _row_reports(row: RowRecord):
-    reports = [correspondence.verify_row(row)]
-    if row.bold:
-        reports.append(correspondence.verify_swaps(row))
-    return row.key, reports
-
-
 def _print_report(report, fmt: str, suffix: str = "") -> None:
     if fmt == "kv":
         for c in report.checks:
@@ -101,21 +93,17 @@ def cmd_verify_table(args) -> int:
             for row in all_rows:
                 print(f"  {row.key}  (rank {row.rank})", file=sys.stderr)
             return USAGE_ERROR
-    if args.parallel:
-        with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_row_reports, rows))
-    else:
-        results = [_row_reports(row) for row in rows]
-    order = {row.key: i for i, row in enumerate(rows)}
-    results.sort(key=lambda kr: order[kr[0]])
     ok = True
-    for key, reports in results:
+    for row in rows:
+        reports = [correspondence.verify_row(row)]
+        if row.bold:
+            reports.append(correspondence.verify_swaps(row))
         for report, suffix in zip(reports, ("", ".swaps")):
             _print_report(report, args.format, suffix)
             ok = ok and report.passed
         if args.format != "kv":
             verdict = "PASS" if all(r.passed for r in reports) else "FAIL"
-            print(f"row {key}: {verdict}")
+            print(f"row {row.key}: {verdict}")
     if args.format != "kv":
         print(f"{'all rows pass' if ok else 'FAILURES detected'}")
     return 0 if ok else CHECK_FAILED
@@ -238,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--row", help="row key (e.g. 26-34-76) or a single family id")
     vt.add_argument("--format", choices=("text", "kv"), default="text")
     vt.add_argument("--data", help="alternative dataset JSON path")
-    vt.add_argument("--parallel", action="store_true")
     vt.set_defaults(fn=cmd_verify_table)
 
     nw = sub.add_parser("newton", help="newton polytope of a weight system")

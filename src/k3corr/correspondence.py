@@ -10,6 +10,7 @@ exchange checks, and the vertex-deletion search for reflexive subpolytopes.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -293,18 +294,20 @@ def search_sub_reflexive(
     Breadth-first over "drop one vertex, re-hull the remaining lattice
     points"; states that lose the origin from their interior are pruned
     (no descendant can regain it, so a root without it raises
-    OriginNotInterior).  Results are deduplicated up to GL(3, Z) and each
-    keeps the origin interior.
+    OriginNotInterior).  States are deduplicated up to GL(3, Z): a child is
+    tested for equivalence only against the states seen with the same
+    invariant key, and the first one seen stays.  Each result keeps the
+    origin interior.
     """
     if not p.origin_interior:
         raise OriginNotInterior("the root lacks the origin in its interior")
-    seen: list[Polytope3] = [p]
+    seen: dict[tuple, list[Polytope3]] = {p.gl3z_key: [p]}
     found: list[Polytope3] = []
-    queue = [(p, p.lattice_points, 0)]
+    queue = deque([(p, p.lattice_points, 0)])
     exhausted = False
     explored = 0
     while queue:
-        state, points, depth = queue.pop(0)
+        state, points, depth = queue.popleft()
         if depth >= max_depth:
             if any(
                 _drop_vertex(state, points, i)[0] for i in range(state.n_vertices)
@@ -316,9 +319,10 @@ def search_sub_reflexive(
             child, rest = _drop_vertex(state, points, i)
             if child is None:
                 continue
-            if any(unimodular_equivalent(child, known) for known in seen):
+            bucket = seen.setdefault(child.gl3z_key, [])
+            if any(unimodular_equivalent(child, known) for known in bucket):
                 continue
-            seen.append(child)
+            bucket.append(child)
             if child.is_lattice and is_reflexive(child):
                 if len(found) >= max_results:
                     exhausted = True

@@ -108,8 +108,3 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
         dual_facet_interior=dcounts.per_facet,
         edge_pairs=pairs,
     )
-
-
-def l0_rank(p: Polytope3) -> int:
-    """Rank of the orthogonal complement of the toric classes: the edge sum."""
-    return picard_rank(p).correction

@@ -6,7 +6,9 @@ triangle mesh is the one source of its combinatorics: vertices in canonical
 lexicographic order, facets as primitive inward inequalities <n, x> >= -c,
 the full facet/vertex incidence, and edges with the two facets meeting in
 each.  Per-face lattice point counts follow in closed form from that
-incidence (gcd and Pick); the lattice-point list is a cached box scan.
+incidence (gcd and Pick); the lattice-point list is a cached column scan.
+A GL(3, Z)-invariant key buckets polytopes before the exact equivalence
+test, which fits only vertex triples whose invariants match.
 """
 
 from __future__ import annotations
@@ -170,13 +172,32 @@ class Polytope3:
 
     @cached_property
     def lattice_points(self) -> tuple[tuple[int, int, int], ...]:
-        """All integer points of the polytope, by exact bounding-box scan."""
-        los = [min(v[i] for v in self.vertices) for i in range(3)]
-        his = [max(v[i] for v in self.vertices) for i in range(3)]
-        ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in zip(los, his)]
-        return tuple(
-            p for p in itertools.product(*ranges) if self.contains_point(p)
-        )
+        """All integer points of the polytope, in lexicographic order.
+
+        Scans the (x, y) columns of the bounding box.  With every offset
+        scaled by the lcm L of their denominators, a facet (n, c) reads
+        L n_z z >= -(L c + L n_x x + L n_y y) over the integers, so each
+        column's z-interval is an exact integer ceil/floor division; facets
+        with n_z = 0 cut whole columns.
+        """
+        scale = lcm(*(Fraction(c).denominator for _, c in self.facets))
+        rows = [
+            (scale * nx, scale * ny, scale * nz, int(scale * c))
+            for (nx, ny, nz), c in self.facets
+        ]
+        floors = [r for r in rows if r[2] > 0]  # lower bounds on z
+        ceilings = [r for r in rows if r[2] < 0]  # upper bounds on z
+        walls = [r for r in rows if r[2] == 0]
+        xs, ys, _ = zip(*self.vertices)
+        points = []
+        for x in range(ceil(min(xs)), floor(max(xs)) + 1):
+            for y in range(ceil(min(ys)), floor(max(ys)) + 1):
+                if any(a * x + b * y < -c for a, b, _, c in walls):
+                    continue
+                lo = max(-((c + a * x + b * y) // d) for a, b, d, c in floors)
+                hi = min((c + a * x + b * y) // -d for a, b, d, c in ceilings)
+                points.extend((x, y, z) for z in range(lo, hi + 1))
+        return tuple(points)
 
     @cached_property
     def face_counts(self) -> "FaceCounts":
@@ -207,6 +228,47 @@ class Polytope3:
         per_edge = tuple(g - 1 for g in steps)
         boundary = self.n_vertices + sum(per_edge) + sum(per_facet)
         return FaceCounts(boundary, tuple(per_facet), per_edge)
+
+    # -- GL(3, Z) invariants -----------------------------------------------
+
+    @cached_property
+    def vertex_signatures(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per vertex, the sorted (offset c, vertex count) of its facets.
+
+        A lattice map x -> U.x keeps each facet's offset and vertex count
+        (its normal becomes U^-T n, still primitive), so it sends every
+        vertex to one with the same signature.
+        """
+        through = [[] for _ in self.vertices]
+        for (_, c), fv in zip(self.facets, self.facet_vertices):
+            for i in fv:
+                through[i].append((c, len(fv)))
+        return tuple(tuple(sorted(sig)) for sig in through)
+
+    @cached_property
+    def gl3z_key(self) -> tuple:
+        """Invariants shared by all GL(3, Z) images of the polytope.
+
+        V, E, F; the sorted (vertex count, offset) of the facets; the sorted
+        vertex signatures; and for a lattice polytope its boundary point
+        count with the sorted per-facet and per-edge interior counts.
+        Different keys rule equivalence out; equal keys decide nothing.
+        """
+        counts = None
+        if self.is_lattice:
+            fc = self.face_counts
+            counts = (
+                fc.boundary, tuple(sorted(fc.per_facet)), tuple(sorted(fc.per_edge))
+            )
+        facet_kinds = sorted(
+            (len(fv), c) for (_, c), fv in zip(self.facets, self.facet_vertices)
+        )
+        return (
+            (self.n_vertices, self.n_edges, self.n_facets),
+            tuple(facet_kinds),
+            tuple(sorted(self.vertex_signatures)),
+            counts,
+        )
 
 
 @dataclass(frozen=True)
@@ -310,19 +372,27 @@ def transform(p: Polytope3, u: Sequence[Sequence[int]]) -> Polytope3:
 def unimodular_equivalent(p: Polytope3, q: Polytope3) -> Optional[tuple]:
     """A matrix U in GL(3, Z) with U.p = q as vertex sets, or None.
 
-    Brute force: fit one fixed independent vertex triple of p onto every
-    ordered triple of q's vertices and check the whole vertex set.
-    Adequate for the small vertex counts that arise here.
+    None at once when the invariant keys differ.  Otherwise one fixed
+    independent vertex triple of p is fitted onto every ordered triple of
+    q's vertices with the same per-vertex signatures (a lattice map must
+    preserve them), in the order of itertools.permutations, and each fit
+    is checked on the whole vertex set.  The key only prunes: every answer
+    is an exact fit.
     """
-    if (p.n_vertices, p.n_edges, p.n_facets) != (q.n_vertices, q.n_edges, q.n_facets):
+    if p.gl3z_key != q.gl3z_key:
         return None
-    if sorted(map(len, p.facet_vertices)) != sorted(map(len, q.facet_vertices)):
-        return None
-    p_triple = [p.vertices[i] for i in independent_triple(p.vertices)]
+    trip = independent_triple(p.vertices)
+    p_triple = [p.vertices[i] for i in trip]
+    p_sig, q_sig = p.vertex_signatures, q.vertex_signatures
+    a, b, c = (
+        [j for j, sig in enumerate(q_sig) if sig == p_sig[i]] for i in trip
+    )
     q_set = set(q.vertices)
-    for cand in itertools.permutations(q.vertices, 3):
+    for i, j, k in itertools.product(a, b, c):
+        if i == j or j == k or i == k:
+            continue
         try:
-            u = fit_lattice_map(p_triple, cand)
+            u = fit_lattice_map(p_triple, [q.vertices[m] for m in (i, j, k)])
         except NotUnimodular:
             continue
         if {mat_vec(u, v) for v in p.vertices} == q_set:

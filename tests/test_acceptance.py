@@ -15,7 +15,7 @@ from k3corr.correspondence import (
     verify_swaps,
 )
 from k3corr.intlinalg import identity, is_unimodular, mat_vec
-from k3corr.picard import l0_rank, picard_rank
+from k3corr.picard import picard_rank
 from k3corr.polytope import (
     hull,
     is_reflexive,
@@ -183,12 +183,12 @@ def test_criterion_08_figure2(rows_by_key):
 def test_criterion_09_l0_positivity(rows_by_key):
     row = rows_by_key["16-54"]
     delta = common_delta(row)
-    own_l0 = l0_rank(delta)
+    own_l0 = picard_rank(delta).correction
     res = search_sub_reflexive(delta)  # default limits
     same_rank_zero_l0 = [
         q
         for q in res.found
-        if picard_rank(q).rho == row.rank and l0_rank(q) == 0
+        if picard_rank(q).rho == row.rank and picard_rank(q).correction == 0
     ]
     report(
         9,
@@ -196,7 +196,7 @@ def test_criterion_09_l0_positivity(rows_by_key):
         "l0=0 in the deletion closure (scope-bounded evidence)",
         own_l0 > 0 and not same_rank_zero_l0,
         f"l0={own_l0}, subpolytopes found={len(res.found)} "
-        f"(l0 values {[l0_rank(q) for q in res.found]}, "
+        f"(l0 values {[picard_rank(q).correction for q in res.found]}, "
         f"ranks {[picard_rank(q).rho for q in res.found]})",
     )
 

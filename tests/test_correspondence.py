@@ -1,10 +1,13 @@
 """Isomorphism derivation, row verification, swaps, subpolytope search."""
 
+import itertools
+
 import pytest
 
 from k3corr.correspondence import (
     InconsistentColumns,
     RankDeficientColumns,
+    _drop_vertex,
     common_delta,
     derive_iso,
     search_sub_reflexive,
@@ -16,6 +19,7 @@ from k3corr.intlinalg import identity, is_unimodular, mat_mul, mat_vec
 from k3corr.picard import picard_rank
 from k3corr.polytope import hull, is_reflexive, unimodular_equivalent
 from k3corr.weights import Monomial, WeightSystem, newton_polytope, parse_monomial
+from test_polytope import assert_maps_onto, brute_force_equivalent
 
 
 def _iso_maps_all_columns(row, i, j, iso):
@@ -243,18 +247,54 @@ def test_no_row_rank_subpolytope_with_zero_l0(rows_by_key):
     """Scope-bounded version of the remark that also names 26-34-76 and 27-49:
     the deletion closure offers no substitute polytope of the row's own rank
     with vanishing correction term."""
-    from k3corr.picard import l0_rank, picard_rank
-
     for key in ("16-54", "26-34-76", "27-49"):
         row = rows_by_key[key]
         delta = common_delta(row)
-        assert l0_rank(delta) > 0
+        assert picard_rank(delta).correction > 0
         res = search_sub_reflexive(delta)
         assert not [
             q
             for q in res.found
-            if picard_rank(q).rho == row.rank and l0_rank(q) == 0
+            if picard_rank(q).rho == row.rank and picard_rank(q).correction == 0
         ]
+
+
+def test_equivalence_matches_brute_force_on_search_children(rows):
+    """Every pair of the distinct polytopes reached by deleting one or two
+    vertices from the 16 table common polytopes, as the search does."""
+    children = {}
+    for row in rows:
+        root = common_delta(row)
+        level = [(root, root.lattice_points)]
+        for _ in range(2):
+            level = [
+                _drop_vertex(state, points, i)
+                for state, points in level
+                for i in range(state.n_vertices)
+            ]
+            level = [(child, rest) for child, rest in level if child is not None]
+            children.update((child.vertices, child) for child, _ in level)
+    assert len(children) == 83
+    hits = 0
+    for p, q in itertools.combinations_with_replacement(children.values(), 2):
+        u = unimodular_equivalent(p, q)
+        assert u == brute_force_equivalent(p, q)
+        if u is not None:
+            assert_maps_onto(u, p, q)
+            hits += p is not q
+    assert hits == 8
+
+
+def test_quartic_search_to_depth_five():
+    """The unbounded quartic search at depth 5 keeps the results of the
+    linear scan over every state seen."""
+    p = newton_polytope(WeightSystem.from_weights([1, 1, 1, 1]))
+    res = search_sub_reflexive(p, max_results=10**9, max_depth=5)
+    assert (len(res.found), res.explored, res.exhausted) == (2, 23, True)
+    assert [q.vertices for q in res.found] == [
+        ((-1, -1, 1), (-1, -1, 3), (-1, 1, -1), (-1, 3, -1), (1, -1, -1), (3, -1, -1)),
+        ((-1, 0, -1), (-1, 0, 2), (-1, 3, -1), (0, -1, -1), (0, -1, 2), (3, -1, -1)),
+    ]
 
 
 def test_search_respects_result_cap():

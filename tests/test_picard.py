@@ -9,7 +9,7 @@ import random
 import pytest
 
 from k3corr.intlinalg import identity
-from k3corr.picard import NotReflexive, l0_rank, picard_rank
+from k3corr.picard import NotReflexive, picard_rank
 from k3corr.polytope import hull, polar_dual, transform
 from k3corr.weights import WeightSystem, newton_polytope
 
@@ -36,7 +36,7 @@ def test_cube_and_octahedron():
     # (octahedron edges carry no interior lattice points).
     bk = picard_rank(cube())
     assert (bk.rho, bk.toric_part, bk.correction) == (3, 3, 0)
-    assert l0_rank(cube()) == 0
+    assert picard_rank(cube()).correction == 0
     # dual side: l(cube) = 27, six facet interiors of 1, correction again 0
     bko = picard_rank(octahedron())
     assert (bko.rho, bko.toric_part, bko.correction) == (17, 17, 0)
@@ -55,13 +55,13 @@ def test_rejects_non_reflexive():
 
 
 def test_l0_quartic_zero():
-    assert l0_rank(quartic_simplex()) == 0
+    assert picard_rank(quartic_simplex()).correction == 0
 
 
 def test_l0_16_54_positive(rows_by_key):
     from k3corr.correspondence import common_delta
 
-    assert l0_rank(common_delta(rows_by_key["16-54"])) > 0
+    assert picard_rank(common_delta(rows_by_key["16-54"])).correction > 0
 
 
 def test_l0_regression_goldens(rows_by_key):
@@ -80,7 +80,7 @@ def test_l0_regression_goldens(rows_by_key):
         "56-73": 0,
     }
     for key, want in golden.items():
-        assert l0_rank(common_delta(rows_by_key[key])) == want
+        assert picard_rank(common_delta(rows_by_key[key])).correction == want
 
 
 def test_rank_bounds_on_table(rows_by_key):

@@ -7,12 +7,23 @@ used by the implementation.
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, floor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from k3corr.intlinalg import identity, mat_vec, primitive, vec_dot
+from k3corr.intlinalg import (
+    adjugate,
+    det,
+    identity,
+    independent_triple,
+    is_unimodular,
+    mat_mul,
+    mat_vec,
+    primitive,
+    transpose,
+    vec_dot,
+)
 from k3corr.picard import picard_rank
 from k3corr.polytope import (
     DegeneratePointSet,
@@ -363,6 +374,50 @@ def test_lattice_points_unit_simplex():
     assert set(p.lattice_points) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
+def box_scan_points(p):
+    """Reference lattice points: every integer point of the bounding box that
+    satisfies all facet inequalities, in lexicographic order."""
+    los = [ceil(min(v[i] for v in p.vertices)) for i in range(3)]
+    his = [floor(max(v[i] for v in p.vertices)) for i in range(3)]
+    box = itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)])
+    return tuple(q for q in box if p.contains_point(q))
+
+
+def test_lattice_points_match_box_scan_on_table(rows):
+    import random
+
+    rnd = random.Random(2010)
+    for p in table_polytopes(rows):
+        # few shears keep the reference box scan short
+        q = transform(p, _random_unimodular(rnd, shears=2))
+        for r in (p, polar_dual(p), q):
+            assert r.lattice_points == box_scan_points(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets, st.randoms(use_true_random=False))
+def test_lattice_points_match_box_scan_on_random_hulls(points, rnd):
+    try:
+        p = hull(points)
+    except DegeneratePointSet:
+        return
+    assert p.lattice_points == box_scan_points(p)
+    q = transform(p, _random_unimodular(rnd, shears=2))
+    assert q.lattice_points == box_scan_points(q)
+    assert len(q.lattice_points) == len(p.lattice_points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_point_sets)
+@example([(Fraction(1, 2), 0, 0), (0, Fraction(1, 3), 0), (0, 0, 1), (-1, -1, -1)])
+def test_lattice_points_match_box_scan_on_rational_hulls(points):
+    try:
+        p = hull(points)
+    except DegeneratePointSet:
+        return
+    assert p.lattice_points == box_scan_points(p)
+
+
 def test_lattice_points_vertex_stability_oracle(rows_by_key):
     """Membership cross-check: q is in P iff adding q leaves the vertex set."""
     from k3corr.correspondence import common_delta
@@ -538,6 +593,66 @@ def test_unimodular_equivalent_permuted():
     u = unimodular_equivalent(p, q)
     assert u is not None
     assert {mat_vec(u, v) for v in p.vertices} == set(q.vertices)
+
+
+def brute_force_equivalent(p, q):
+    """Reference equivalence test, with no invariant to prune: fit one
+    independent vertex triple of p onto every ordered triple of q's vertices
+    (through the source triple's adjugate, computed once) and keep the first
+    integral, unimodular fit that maps the whole vertex set onto q's."""
+    if p.n_vertices != q.n_vertices:
+        return None
+    s = transpose([p.vertices[i] for i in independent_triple(p.vertices)])
+    d, adj = det(s), adjugate(s)
+    q_set = set(q.vertices)
+    for t in itertools.permutations(q.vertices, 3):
+        scaled = mat_mul(transpose(t), adj)
+        if any(x % d for row in scaled for x in row):
+            continue
+        u = tuple(tuple(x // d for x in row) for row in scaled)
+        if is_unimodular(u) and {mat_vec(u, v) for v in p.vertices} == q_set:
+            return u
+    return None
+
+
+def assert_maps_onto(u, p, q):
+    assert is_unimodular(u) and all(isinstance(x, int) for row in u for x in row)
+    assert {mat_vec(u, v) for v in p.vertices} == set(q.vertices)
+
+
+def _random_gl3z(rnd):
+    """A random shear product, with its first row negated half the time so
+    that orientation-reversing maps are drawn too."""
+    u = _random_unimodular(rnd)
+    if rnd.random() < 0.5:
+        u = (tuple(-x for x in u[0]),) + u[1:]
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets, st.randoms(use_true_random=False))
+def test_gl3z_key_and_equivalence_on_gl3z_images(points, rnd):
+    try:
+        p = hull(points)
+    except DegeneratePointSet:
+        return
+    q = transform(p, _random_gl3z(rnd))
+    assert p.gl3z_key == q.gl3z_key
+    u = unimodular_equivalent(p, q)
+    assert_maps_onto(u, p, q)
+    assert u == brute_force_equivalent(p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_point_sets, st.randoms(use_true_random=False))
+def test_gl3z_key_invariant_on_rational_hulls(points, rnd):
+    try:
+        p = hull(points)
+    except DegeneratePointSet:
+        return
+    q = transform(p, _random_gl3z(rnd))
+    assert p.gl3z_key == q.gl3z_key
+    assert_maps_onto(unimodular_equivalent(p, q), p, q)
 
 
 def test_unimodular_equivalent_rejects_different_shapes():
