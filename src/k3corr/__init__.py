@@ -26,7 +26,6 @@ from .polytope import (
 from .weights import (
     Monomial,
     WeightSystem,
-    delta_tetrahedron,
     newton_polytope,
     parse_monomial,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "VerificationReport",
     "WeightSystem",
     "common_delta",
-    "delta_tetrahedron",
     "derive_iso",
     "hull",
     "is_reflexive",

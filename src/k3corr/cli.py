@@ -34,7 +34,8 @@ def _read_polytope(path: str):
             pts = parse_points_text(fh.read())
         return hull(pts)
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
     except ValueError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -273,9 +274,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return USAGE_ERROR
         return int(exc.code or 0)
     except Exception as exc:  # a toolkit bug, kept apart from failed checks
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

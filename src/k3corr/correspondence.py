@@ -19,14 +19,13 @@ from .dataset import RowRecord
 from .intlinalg import InconsistentPairs as InconsistentColumns
 from .intlinalg import NotUnimodular as NotUnimodularMap
 from .intlinalg import RankDeficientSource as RankDeficientColumns
-from .intlinalg import fit_lattice_map, identity, is_unimodular, mat_mul
+from .intlinalg import fit_lattice_map, identity, is_unimodular, mat_mul, mat_vec
 from .picard import picard_rank
 from .polytope import (
     OriginNotInterior,
     Polytope3,
     hull,
     is_reflexive,
-    transform,
     unimodular_equivalent,
 )
 from .weights import WeightSystem, newton_polytope
@@ -87,15 +86,14 @@ def common_delta(row: RowRecord) -> Polytope3:
     """Hull of the column points in the first weight's coordinates.
 
     Checked to be reflexive and, through each derived isomorphism, contained
-    in the Newton polytope of every weight of the row.
+    in the Newton polytope of every weight of the row (vertex by vertex).
     """
     delta = hull(_column_points(row, 0))
     if not is_reflexive(delta):
         raise NotReflexiveDelta(f"row {row.key}: common polytope is not reflexive")
     for k in range(row.n_weights):
-        iso = derive_iso(row, 0, k)
-        image = transform(delta, iso.u) if k else delta
-        if not newton_polytope(row.weights[k]).contains(image):
+        u, newton = derive_iso(row, 0, k).u, newton_polytope(row.weights[k])
+        if not all(newton.contains_point(mat_vec(u, v)) for v in delta.vertices):
             raise NotContained(
                 f"row {row.key}: image leaves the Newton polytope of "
                 f"{row.weights[k]}"

@@ -7,19 +7,20 @@ dimension 3): with p the Newton polytope and p* its polar dual,
                     + sum_{edges E* of p*} l*(E*) . l*(E)
 
 where E is the edge of p dual to E* and l, l* count lattice points and
-relative-interior lattice points.  All are closed-form boundary counts (no
-lattice point is enumerated): p* is reflexive, so l(p*) is its boundary count
-plus the origin.  The correction sum is reported separately: it is the rank
-of the part of the Picard lattice not visible from the ambient toric
-resolution.
+relative-interior lattice points.  All are closed-form boundary counts from
+the polytope's incidence read both ways, with no dual hull; p* is reflexive,
+so l(p*) is its boundary count plus the origin.  The correction sum is
+reported separately: it is the rank of the part of the Picard lattice not
+visible from the ambient toric resolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
-from .polytope import Polytope3, is_reflexive, polar_dual
+from .polytope import Polytope3, is_reflexive, pick_counts
 
 
 class NotReflexive(ValueError):
@@ -54,24 +55,6 @@ class PicardBreakdown:
             raise AssertionError("rho is not toric part plus correction")
 
 
-def _dual_edge_map(p: Polytope3, dual: Polytope3) -> list[int]:
-    """For each edge of `dual`, the index of the matching edge of p.
-
-    p is reflexive, so a vertex of the dual is the normal n of a unique
-    facet (n, 1) of p; a dual edge therefore names two facets of p, and the
-    matching edge of p is the one where those two facets meet.
-    """
-    facet_of_vertex = {n: f for f, (n, _) in enumerate(p.facets)}
-    edge_of_facets = {frozenset(fs): e for e, fs in enumerate(p.edge_facets)}
-    pairs = [
-        edge_of_facets.get(frozenset(facet_of_vertex[dual.vertices[k]] for k in edge))
-        for edge in dual.edges
-    ]
-    if len(pairs) != p.n_edges or set(pairs) != set(range(p.n_edges)):
-        raise AssertionError("edge duality is not a bijection")
-    return pairs
-
-
 @lru_cache(maxsize=None)
 def picard_rank(p: Polytope3) -> PicardBreakdown:
     """Picard rank with its toric/correction split; p must be reflexive."""
@@ -81,20 +64,24 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
         raise NotReflexive(str(exc)) from exc
     if not reflexive:
         raise NotReflexive("polytope is not reflexive")
-    dual = polar_dual(p)
-    if not is_reflexive(dual):
+    # p* has the facet (v, 1) for each vertex v of p, at distance 1 iff v is
+    # primitive; this is the reflexivity of p*
+    if any(gcd(*v) != 1 for v in p.vertices):
         raise AssertionError("polar dual of a reflexive polytope is not reflexive")
-    dcounts = dual.face_counts
+    # p read the other way round: vertex f of p* is facet f of p, facet i of
+    # p* is vertex i, and edge k of p* joins the two facets meeting in edge k
+    dcounts = pick_counts(
+        [n for n, _ in p.facets], p.edge_facets, p.edges, p.vertices
+    )
     pcounts = p.face_counts
-    edge_of_dual_edge = _dual_edge_map(p, dual)
     pairs = tuple(
         EdgePair(
-            dual_edge=dual.edges[k],
-            edge=p.edges[e],
+            dual_edge=p.edge_facets[k],
+            edge=p.edges[k],
             interior_dual=dcounts.per_edge[k],
-            interior=pcounts.per_edge[e],
+            interior=pcounts.per_edge[k],
         )
-        for k, e in enumerate(edge_of_dual_edge)
+        for k in sorted(range(p.n_edges), key=p.edge_facets.__getitem__)
     )
     # the origin is the only interior lattice point of the reflexive dual
     dual_points = dcounts.boundary + 1

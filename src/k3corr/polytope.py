@@ -6,7 +6,8 @@ triangle mesh is the one source of its combinatorics: vertices in canonical
 lexicographic order, facets as primitive inward inequalities <n, x> >= -c,
 the full facet/vertex incidence, and edges with the two facets meeting in
 each.  Per-face lattice point counts follow in closed form from that
-incidence (gcd and Pick); the lattice-point list is a cached column scan.
+incidence (gcd and Pick); read both ways, it gives the polar dual's counts
+with no dual hull.  The lattice-point list is a cached column scan.
 A GL(3, Z)-invariant key buckets polytopes before the exact equivalence
 test, which fits only vertex triples whose invariants match.
 """
@@ -201,33 +202,11 @@ class Polytope3:
 
     @cached_property
     def face_counts(self) -> "FaceCounts":
-        """Lattice points in each open edge and facet, in closed form.
-
-        An edge u-v holds gcd(v - u) - 1.  A facet with primitive normal n
-        has rim B = sum of its edges' gcds and normalized double area 2A =
-        sum of |((vi - v0) x (vj - v0)).n| / n.n over its edges (a fan from
-        its first vertex v0), so Pick gives (2A - B + 2)/2 interior points.
-        """
+        """Lattice points in each open edge and facet (see :func:`pick_counts`)."""
         if not self.is_lattice:
             raise ValueError("face counts are defined for lattice polytopes")
-        vs = self.vertices
-        steps = [gcd(*_sub(vs[j], vs[i])) for i, j in self.edges]
-        rim, area2 = [0] * self.n_facets, [0] * self.n_facets
-        for (i, j), g, facet_pair in zip(self.edges, steps, self.edge_facets):
-            for f in facet_pair:
-                rim[f] += g
-                v0 = vs[self.facet_vertices[f][0]]
-                fan = _cross(_sub(vs[i], v0), _sub(vs[j], v0))
-                area2[f] += abs(vec_dot(fan, self.facets[f][0]))
-        per_facet = []
-        for (n, _), a, b in zip(self.facets, area2, rim):
-            twice_area, inexact = divmod(a, vec_dot(n, n))
-            if inexact or (twice_area - b) % 2 or twice_area - b + 2 < 0:
-                raise AssertionError("Pick's theorem gives no count for a facet")
-            per_facet.append((twice_area - b + 2) // 2)
-        per_edge = tuple(g - 1 for g in steps)
-        boundary = self.n_vertices + sum(per_edge) + sum(per_facet)
-        return FaceCounts(boundary, tuple(per_facet), per_edge)
+        normals = [n for n, _ in self.facets]
+        return pick_counts(self.vertices, self.edges, self.edge_facets, normals)
 
     # -- GL(3, Z) invariants -----------------------------------------------
 
@@ -249,9 +228,10 @@ class Polytope3:
     def gl3z_key(self) -> tuple:
         """Invariants shared by all GL(3, Z) images of the polytope.
 
-        V, E, F; the sorted (vertex count, offset) of the facets; the sorted
-        vertex signatures; and for a lattice polytope its boundary point
-        count with the sorted per-facet and per-edge interior counts.
+        The sorted vertex signatures and, for a lattice polytope, its
+        boundary point count with the sorted per-facet and per-edge interior
+        counts.  The signatures also fix V, E and F and the facet kinds: a
+        facet (c, k) shows up in exactly k signatures, and E = V + F - 2.
         Different keys rule equivalence out; equal keys decide nothing.
         """
         counts = None
@@ -260,15 +240,7 @@ class Polytope3:
             counts = (
                 fc.boundary, tuple(sorted(fc.per_facet)), tuple(sorted(fc.per_edge))
             )
-        facet_kinds = sorted(
-            (len(fv), c) for (_, c), fv in zip(self.facets, self.facet_vertices)
-        )
-        return (
-            (self.n_vertices, self.n_edges, self.n_facets),
-            tuple(facet_kinds),
-            tuple(sorted(self.vertex_signatures)),
-            counts,
-        )
+        return tuple(sorted(self.vertex_signatures)), counts
 
 
 @dataclass(frozen=True)
@@ -278,6 +250,35 @@ class FaceCounts:
     boundary: int
     per_facet: tuple[int, ...]  # relative interior of each facet
     per_edge: tuple[int, ...]  # strictly between the endpoints of each edge
+
+
+def pick_counts(points, edges, edge_faces, normals) -> FaceCounts:
+    """Lattice points in each open edge and facet of a lattice polytope.
+
+    Takes the vertices, the edges as vertex index pairs, the two facets
+    meeting in each edge and the primitive facet normals.  An edge u-v holds
+    gcd(v - u) - 1.  A facet with normal n has rim B = sum of its edges'
+    gcds and normalized double area 2A = sum of |((vi - v0) x (vj - v0)).n|
+    / n.n over its edges (a fan from v0, the first edge endpoint met on the
+    facet), so Pick gives (2A - B + 2)/2 interior points.
+    """
+    steps = [gcd(*_sub(points[j], points[i])) for i, j in edges]
+    rim, area2, anchor = [0] * len(normals), [0] * len(normals), {}
+    for (i, j), g, faces in zip(edges, steps, edge_faces):
+        for f in faces:
+            rim[f] += g
+            v0 = anchor.setdefault(f, points[i])
+            fan = _cross(_sub(points[i], v0), _sub(points[j], v0))
+            area2[f] += abs(vec_dot(fan, normals[f]))
+    per_facet = []
+    for n, a, b in zip(normals, area2, rim):
+        twice_area, inexact = divmod(a, vec_dot(n, n))
+        if inexact or (twice_area - b) % 2 or twice_area - b + 2 < 0:
+            raise AssertionError("Pick's theorem gives no count for a facet")
+        per_facet.append((twice_area - b + 2) // 2)
+    per_edge = tuple(g - 1 for g in steps)
+    boundary = len(points) + sum(per_edge) + sum(per_facet)
+    return FaceCounts(boundary, tuple(per_facet), per_edge)
 
 
 def hull(points: Iterable[Sequence]) -> Polytope3:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -161,23 +160,6 @@ def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
         intlinalg.to_coords(ws.basis, tuple(k - 1 for k in e))
         for e in ws.anticanonical_exponents()
     )
-
-
-@lru_cache(maxsize=None)
-def delta_tetrahedron(ws: WeightSystem) -> Polytope3:
-    """The rational tetrahedron cut out by m_i >= -1 on the degree-zero lattice.
-
-    Vertex j puts every coordinate except m_j at -1, forcing
-    m_j = (d - a_j) / a_j, which need not be an integer.  Scaled by a_j it is
-    an integral degree-zero vector, so it has integer lattice coordinates.
-    """
-    verts = []
-    for j, a in enumerate(ws.a):
-        m = [-a] * 4
-        m[j] = ws.d - a
-        x = intlinalg.to_coords(ws.basis, m)
-        verts.append(tuple(Fraction(c, a) for c in x))
-    return hull(verts)
 
 
 @lru_cache(maxsize=None)

@@ -109,6 +109,33 @@ def test_verify_table_corrupted_dataset(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "dropped, reason",
+    [
+        (2, "row 13-72: common polytope is not reflexive"),
+        (0, "reflexivity needs the origin strictly inside"),
+    ],
+)
+def test_verify_table_common_delta_failures(tmp_path, capsys, dropped, reason):
+    """Row 13-72 without one column still derives its isomorphism, but the
+    hull of the remaining column points fails the common-delta check."""
+    rows = json.loads(
+        open("src/k3corr/data/table.json", encoding="utf-8").read()
+    )
+    row = next(r for r in rows if r["ids"] == [13, 72])
+    del row["columns"][dropped]
+    bad = tmp_path / "dropped.json"
+    bad.write_text(json.dumps(rows))
+    code, out, err = run(
+        capsys, "verify-table", "--row", "13-72", "--data", str(bad)
+    )
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert fails == [f"[FAIL] 13-72: common-delta reflexive+contained  ({reason})"]
+    assert "internal error" not in out + err
+    assert err == ""
+
+
 def test_verify_table_malformed_dataset(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -228,13 +255,16 @@ def test_internal_error_is_not_a_failed_check(capsys, monkeypatch):
     from k3corr import correspondence
 
     def broken(p):
-        raise AssertionError("edge duality is not a bijection")
+        raise AssertionError("polar dual of a reflexive polytope is not reflexive")
 
     monkeypatch.setattr(correspondence, "picard_rank", broken)
     code, out, err = run(capsys, "verify-table", "--row", "13-72")
     assert code == 3
     assert "FAIL" not in out
-    assert err == "internal error: AssertionError: edge duality is not a bijection\n"
+    assert err == (
+        "internal error: AssertionError: "
+        "polar dual of a reflexive polytope is not reflexive\n"
+    )
 
 
 def test_amoeba_missing_dataset(tmp_path, capsys):
@@ -300,3 +330,8 @@ def test_points_file_missing(capsys):
     code = main(["points", "/nonexistent/file.txt"])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot read /nonexistent/file.txt: [Errno 2] "
+        "No such file or directory: '/nonexistent/file.txt'\n"
+    )

@@ -1,6 +1,7 @@
 """Isomorphism derivation, row verification, swaps, subpolytope search."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -259,9 +260,9 @@ def test_no_row_rank_subpolytope_with_zero_l0(rows_by_key):
         ]
 
 
-def test_equivalence_matches_brute_force_on_search_children(rows):
-    """Every pair of the distinct polytopes reached by deleting one or two
-    vertices from the 16 table common polytopes, as the search does."""
+def search_children(rows):
+    """The distinct polytopes reached by deleting one or two vertices from
+    the 16 table common polytopes, as the search does."""
     children = {}
     for row in rows:
         root = common_delta(row)
@@ -274,15 +275,59 @@ def test_equivalence_matches_brute_force_on_search_children(rows):
             ]
             level = [(child, rest) for child, rest in level if child is not None]
             children.update((child.vertices, child) for child, _ in level)
+    return list(children.values())
+
+
+def test_equivalence_matches_brute_force_on_search_children(rows):
+    """Every pair of the search children."""
+    children = search_children(rows)
     assert len(children) == 83
     hits = 0
-    for p, q in itertools.combinations_with_replacement(children.values(), 2):
+    for p, q in itertools.combinations_with_replacement(children, 2):
         u = unimodular_equivalent(p, q)
         assert u == brute_force_equivalent(p, q)
         if u is not None:
             assert_maps_onto(u, p, q)
             hits += p is not q
     assert hits == 8
+
+
+def old_key(p):
+    """The invariant key with V, E, F and the facet (size, offset) multiset
+    spelled out beside the vertex signatures and the face counts."""
+    counts = None
+    if p.is_lattice:
+        fc = p.face_counts
+        counts = (fc.boundary, tuple(sorted(fc.per_facet)), tuple(sorted(fc.per_edge)))
+    facet_kinds = sorted(
+        (len(fv), c) for (_, c), fv in zip(p.facets, p.facet_vertices)
+    )
+    return (
+        (p.n_vertices, p.n_edges, p.n_facets),
+        tuple(facet_kinds),
+        tuple(sorted(p.vertex_signatures)),
+        counts,
+    )
+
+
+def test_gl3z_key_partitions_search_children_like_old_key(rows):
+    """Dropping V, E, F and the facet kinds from the key splits no bucket
+    and merges none: the vertex signatures already fix them."""
+    children = search_children(rows)
+    pairs = list(itertools.combinations_with_replacement(children, 2))
+    assert len(pairs) == 3486
+    shared = 0
+    for p, q in pairs:
+        assert (p.gl3z_key == q.gl3z_key) == (old_key(p) == old_key(q))
+        shared += p is not q and p.gl3z_key == q.gl3z_key
+    assert shared == 9  # the 8 equivalent pairs and one that is not
+    for p in children:
+        entries = Counter(e for sig in p.vertex_signatures for e in sig)
+        kinds = Counter({(k, c): m // k for (c, k), m in entries.items()})
+        assert sorted(kinds.elements()) == list(old_key(p)[1])
+        n_facets = sum(kinds.values())
+        edges = p.n_vertices + n_facets - 2
+        assert (p.n_vertices, edges, n_facets) == old_key(p)[0]
 
 
 def test_quartic_search_to_depth_five():

@@ -4,13 +4,22 @@ The quartic value is pinned by the hand-computed dual simplex: 5 dual
 points, no face-interior points on either side, so rho = 5 - 4 = 1.
 """
 
+import itertools
 import random
+from dataclasses import fields
 
 import pytest
 
-from k3corr.intlinalg import identity
-from k3corr.picard import NotReflexive, picard_rank
-from k3corr.polytope import hull, polar_dual, transform
+from k3corr import polytope
+from k3corr.intlinalg import IllPosedWeights, identity
+from k3corr.picard import EdgePair, NotReflexive, PicardBreakdown, picard_rank
+from k3corr.polytope import (
+    DegeneratePointSet,
+    hull,
+    is_reflexive,
+    polar_dual,
+    transform,
+)
 from k3corr.weights import WeightSystem, newton_polytope
 
 from test_polytope import cube, octahedron, quartic_simplex
@@ -125,3 +134,98 @@ def test_edge_pairing_is_complete(rows_by_key):
         assert len(bk.edge_pairs) == p.n_edges
         assert len(bk.edge_pairs) == polar_dual(p).n_edges
         assert {pair.edge for pair in bk.edge_pairs} == set(p.edges)
+
+
+# -- the dual-hull reference ---------------------------------------------------
+
+
+def reference_picard(p):
+    """Reference breakdown by the route that hulls the polar dual: the dual's
+    own face counts, and each dual edge matched to the edge of p where the
+    two facets named by its endpoints (normals n of facets (n, 1)) meet."""
+    if not is_reflexive(p):
+        raise NotReflexive("polytope is not reflexive")
+    dual = polar_dual(p)
+    assert is_reflexive(dual)
+    dcounts, pcounts = dual.face_counts, p.face_counts
+    facet_of_vertex = {n: f for f, (n, _) in enumerate(p.facets)}
+    edge_of_facets = {frozenset(fs): e for e, fs in enumerate(p.edge_facets)}
+    pairs = []
+    for k, dual_edge in enumerate(dual.edges):
+        e = edge_of_facets[
+            frozenset(facet_of_vertex[dual.vertices[i]] for i in dual_edge)
+        ]
+        pairs.append(
+            EdgePair(dual_edge, p.edges[e], dcounts.per_edge[k], pcounts.per_edge[e])
+        )
+    assert sorted(pair.edge for pair in pairs) == list(p.edges)
+    dual_points = dcounts.boundary + 1
+    toric = dual_points - 4 - sum(dcounts.per_facet)
+    correction = sum(pair.contribution for pair in pairs)
+    return PicardBreakdown(
+        rho=toric + correction,
+        toric_part=toric,
+        correction=correction,
+        dual_points=dual_points,
+        dual_facet_interior=dcounts.per_facet,
+        edge_pairs=tuple(pairs),
+    )
+
+
+def assert_matches_reference(p):
+    got, want = picard_rank.__wrapped__(p), reference_picard(p)
+    for field in fields(PicardBreakdown):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def reflexive_newton_polytopes(max_degree):
+    """Every reflexive Newton polytope of a sorted well-posed weight system
+    with d <= max_degree.  An interior origin needs each exponent to take the
+    value 0 and some value >= 2 (else the polytope lies in m_i >= 0 or
+    m_i <= 0), which skips the largest clouds before they are hulled."""
+    found = []
+    for a in itertools.combinations_with_replacement(range(1, max_degree), 4):
+        if sum(a) > max_degree:
+            continue
+        try:
+            ws = WeightSystem.from_weights(a)
+        except IllPosedWeights:
+            continue
+        exponents = list(ws.anticanonical_exponents())
+        if not all(min(e) == 0 and max(e) >= 2 for e in zip(*exponents)):
+            continue
+        try:
+            p = newton_polytope(ws)
+        except DegeneratePointSet:
+            continue
+        if p.origin_interior and is_reflexive(p):
+            found.append(p)
+    return found
+
+
+def test_picard_rank_matches_reference(rows):
+    """The 16 common polytopes, the cube, the octahedron, every reflexive
+    Newton polytope with d <= 30 and its dual, and a GL(3, Z) image of each."""
+    from k3corr.correspondence import common_delta
+
+    bases = [common_delta(row) for row in rows] + [cube(), octahedron()]
+    for n in reflexive_newton_polytopes(30):
+        bases += [n, polar_dual(n)]
+    assert len(bases) == 16 + 2 + 2 * 76
+    rnd = random.Random(90217)
+    for p in bases:
+        assert_matches_reference(p)
+        assert_matches_reference(transform(p, _random_unimodular(rnd)))
+
+
+def test_picard_rank_builds_no_hull(monkeypatch, rows):
+    from k3corr.correspondence import common_delta
+
+    cases = [common_delta(row) for row in rows] + [cube(), octahedron()]
+    want = [reference_picard(p) for p in cases]
+
+    def no_hull(points):
+        raise AssertionError("picard_rank built a hull")
+
+    monkeypatch.setattr(polytope, "hull", no_hull)
+    assert [picard_rank.__wrapped__(p) for p in cases] == want

@@ -571,7 +571,7 @@ def test_picard_rank_enumerates_no_lattice_points(monkeypatch):
     def scan(self):
         raise AssertionError("picard_rank enumerated lattice points")
 
-    # nor on the polar dual, which picard_rank builds and drops
+    # nor for the polar dual, whose counts picard_rank reads off p's incidence
     monkeypatch.setattr(Polytope3, "lattice_points", property(scan))
     assert picard_rank.__wrapped__(octahedron()).rho == 17
 

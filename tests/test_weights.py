@@ -1,19 +1,20 @@
 """Weight systems, monomial parsing, the weight tetrahedron and Newton polytopes."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from k3corr.intlinalg import IllPosedWeights, from_coords
+from k3corr.intlinalg import IllPosedWeights, from_coords, to_coords
+from k3corr.polytope import hull
 from k3corr.weights import (
     MalformedMonomial,
     Monomial,
     WeightSystem,
     WrongDegree,
     anticanonical_points,
-    delta_tetrahedron,
     newton_polytope,
     parse_monomial,
     weights_from_text,
@@ -90,6 +91,23 @@ def test_point_monomial_round_trip(rows):
         for k, ws in enumerate(row.weights):
             for m in row.column_monomials(k):
                 assert ws.point_monomial(ws.monomial_point(m)) == m
+
+
+@lru_cache(maxsize=None)
+def delta_tetrahedron(ws):
+    """Reference for the Newton polytope: the rational tetrahedron cut out
+    by m_i >= -1 on the degree-zero lattice.
+
+    Vertex j puts every coordinate except m_j at -1, forcing
+    m_j = (d - a_j) / a_j, which need not be an integer.  Scaled by a_j it is
+    an integral degree-zero vector, so it has integer lattice coordinates.
+    """
+    verts = []
+    for j, a in enumerate(ws.a):
+        m = [-a] * 4
+        m[j] = ws.d - a
+        verts.append(tuple(Fraction(c, a) for c in to_coords(ws.basis, m)))
+    return hull(verts)
 
 
 def test_delta_tetrahedron_integral_case():
