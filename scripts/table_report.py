@@ -13,8 +13,7 @@ import sys
 
 from k3corr.correspondence import common_delta
 from k3corr.dataset import load_rows
-from k3corr.picard import picard_rank
-from k3corr.polytope import polar_dual
+from k3corr.picard import dual_rho, picard_rank
 from k3corr.weights import newton_polytope
 
 
@@ -30,12 +29,11 @@ def main() -> int:
     for row in rows:
         delta = common_delta(row)
         bk = picard_rank(delta)
-        dual_rho = picard_rank(polar_dual(delta)).rho
         newton_ranks = [picard_rank(newton_polytope(ws)).rho for ws in row.weights]
         ok = ok and bk.rho == row.rank and all(r == row.rank for r in newton_ranks)
         print(
             f"{row.key:12s} {row.lattice_label:12s} {row.rank:4d} {bk.rho:4d} "
-            f"{bk.toric_part:5d} {bk.correction:3d} {dual_rho:4d}  "
+            f"{bk.toric_part:5d} {bk.correction:3d} {dual_rho(delta):4d}  "
             + " ".join(f"{i}:{r}" for i, r in zip(row.ids, newton_ranks))
         )
     print("-" * len(header))

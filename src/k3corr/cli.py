@@ -157,8 +157,7 @@ def cmd_picard(args) -> int:
     print(f"rho={bk.rho} toric={bk.toric_part} correction={bk.correction}")
     if args.format != "kv":
         print(f"dual lattice points: {bk.dual_points}")
-        dual_rho = picard.picard_rank(polar_dual(p)).rho
-        print(f"rho of polar dual: {dual_rho}")
+        print(f"rho of polar dual: {picard.dual_rho(p)}")
         for pair in bk.edge_pairs:
             if pair.contribution:
                 print(

@@ -265,9 +265,7 @@ def from_coords(basis: IntMat, coords: Sequence) -> tuple:
 
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (positive gcd)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in v)

@@ -95,3 +95,14 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
         dual_facet_interior=dcounts.per_facet,
         edge_pairs=pairs,
     )
+
+
+def dual_rho(p: Polytope3) -> int:
+    """Picard rank of the polar dual p*, with no dual hull; p must be reflexive.
+
+    The module's count with p and p* swapped, using p** = p: l(p) - 4 - sum of
+    l*(F) over the facets F of p, plus the same edge-pair correction.
+    """
+    correction = picard_rank(p).correction
+    counts = p.face_counts
+    return counts.boundary + 1 - 4 - sum(counts.per_facet) + correction

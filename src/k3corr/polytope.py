@@ -1,15 +1,17 @@
 """Exact 3-dimensional polytopes over the rationals.
 
 A polytope is built once from a point cloud by an incremental (beneath-beyond)
-convex hull over exact arithmetic, after which it is immutable.  The hull's
-triangle mesh is the one source of its combinatorics: vertices in canonical
-lexicographic order, facets as primitive inward inequalities <n, x> >= -c,
-the full facet/vertex incidence, and edges with the two facets meeting in
-each.  Per-face lattice point counts follow in closed form from that
-incidence (gcd and Pick); read both ways, it gives the polar dual's counts
-with no dual hull.  The lattice-point list is a cached column scan.
-A GL(3, Z)-invariant key buckets polytopes before the exact equivalence
-test, which fits only vertex triples whose invariants match.
+convex hull over exact arithmetic, after which it is immutable.  The hull runs
+on integers: a rational cloud is scaled by the lcm of its denominators, and an
+integer cloud (every Newton polytope and search child) is used as it is, with
+no Fraction round trip.  The hull's triangle mesh is the one source of its
+combinatorics: vertices in canonical lexicographic order, facets as primitive
+inward inequalities <n, x> >= -c, the full facet/vertex incidence, and edges
+with the two facets meeting in each.  Per-face lattice point counts follow
+in closed form from that incidence (gcd and Pick); read both ways, it gives
+the polar dual's counts with no dual hull.  The lattice-point list is a cached
+column scan.  A GL(3, Z)-invariant key buckets polytopes before the exact
+equivalence test, which fits only vertex triples whose invariants match.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class OriginNotInterior(ValueError):
 
 
 def _exact(x) -> int | Fraction:
+    if type(x) is int:
+        return x
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
 
@@ -90,8 +94,13 @@ def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
         i1, i2 = i2, i1
 
     def plane(a, b, c):
-        g = _cross(_sub(pts[b], pts[a]), _sub(pts[c], pts[a]))
-        return g, vec_dot(g, pts[a])
+        ax, ay, az = pts[a]
+        bx, by, bz = pts[b]
+        cx, cy, cz = pts[c]
+        ux, uy, uz = bx - ax, by - ay, bz - az
+        vx, vy, vz = cx - ax, cy - ay, cz - az
+        gx, gy, gz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        return (gx, gy, gz), gx * ax + gy * ay + gz * az
 
     # (i0, i1, i2) faces away from i3; the other three share its orientation
     seed = [(i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)]
@@ -99,8 +108,12 @@ def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
     for m in range(n):
         if m in (i0, i1, i2, i3):
             continue
-        p = pts[m]
-        visible = [f for f, (g, s) in faces.items() if vec_dot(g, p) > s]
+        x, y, z = pts[m]
+        visible = [
+            f
+            for f, ((gx, gy, gz), s) in faces.items()
+            if gx * x + gy * y + gz * z > s
+        ]
         if not visible:
             continue
         # horizon: directed edges of visible faces whose reverse is not visible
@@ -163,7 +176,10 @@ class Polytope3:
         return all(c > 0 for _, c in self.facets)
 
     def contains_point(self, p: Sequence) -> bool:
-        return all(vec_dot(n, p) >= -c for n, c in self.facets)
+        x, y, z = p
+        return all(
+            nx * x + ny * y + nz * z >= -c for (nx, ny, nz), c in self.facets
+        )
 
     def contains(self, other: "Polytope3") -> bool:
         """True iff every vertex of `other` satisfies every facet inequality."""
@@ -288,12 +304,16 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     sorted), primitive facet inequalities, incidence and edges, all read off
     the triangle mesh of :func:`_triangle_hull`.  Raises DegeneratePointSet
     when the affine span has dimension < 3.
+
+    Rational points are scaled to integers by the lcm of their denominators,
+    and offsets scaled back.  Integer points take no Fraction round trip: the
+    scale is 1, the cloud is hulled as it is and the offsets stay ints.
     """
     cloud = sorted({tuple(_exact(c) for c in p) for p in points})
     if len(cloud) < 4:
         raise DegeneratePointSet("need at least 4 distinct points")
-    scale = lcm(*(Fraction(c).denominator for p in cloud for c in p))
-    ipts = [tuple(int(c * scale) for c in p) for p in cloud]
+    scale = lcm(*(c.denominator for p in cloud for c in p))
+    ipts = cloud if scale == 1 else [tuple(int(c * scale) for c in p) for p in cloud]
 
     # group the triangles by facet plane (outward form <g, x> <= s), and
     # record the plane that owns each directed triangle edge
@@ -314,7 +334,7 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
 
     def inward(plane):
         g, s = plane
-        return tuple(-x for x in g), _exact(Fraction(s, scale))
+        return tuple(-x for x in g), s if scale == 1 else _exact(Fraction(s, scale))
 
     ordered = sorted(planes, key=inward)
     index = {plane: f for f, plane in enumerate(ordered)}

@@ -12,7 +12,13 @@ import pytest
 
 from k3corr import polytope
 from k3corr.intlinalg import IllPosedWeights, identity
-from k3corr.picard import EdgePair, NotReflexive, PicardBreakdown, picard_rank
+from k3corr.picard import (
+    EdgePair,
+    NotReflexive,
+    PicardBreakdown,
+    dual_rho,
+    picard_rank,
+)
 from k3corr.polytope import (
     DegeneratePointSet,
     hull,
@@ -229,3 +235,18 @@ def test_picard_rank_builds_no_hull(monkeypatch, rows):
 
     monkeypatch.setattr(polytope, "hull", no_hull)
     assert [picard_rank.__wrapped__(p) for p in cases] == want
+
+
+def test_dual_rho_matches_dual_hull(rows):
+    """Every reflexive Newton polytope with d <= 40 and its dual, the 16
+    common polytopes, and a GL(3, Z) image of each."""
+    from k3corr.correspondence import common_delta
+
+    bases = [common_delta(row) for row in rows]
+    for n in reflexive_newton_polytopes(40):
+        bases += [n, polar_dual(n)]
+    assert len(bases) == 16 + 2 * 87
+    rnd = random.Random(30518)
+    for p in bases:
+        for q in (p, transform(p, _random_unimodular(rnd))):
+            assert dual_rho(q) == picard_rank(polar_dual(q)).rho

@@ -12,7 +12,9 @@ from math import ceil, comb, floor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from k3corr import polytope
 from k3corr.intlinalg import (
+    IllPosedWeights,
     adjugate,
     det,
     identity,
@@ -272,6 +274,75 @@ def test_hull_combinatorics_on_clouds_dense_in_boundary_points(rows):
         for ws in row.weights:
             pts = anticanonical_points(ws)
             assert_combinatorics_match(pts, support=hull(pts).vertices)
+
+
+# -- integer clouds --------------------------------------------------------------
+
+HULL_FIELDS = ("vertices", "facets", "facet_vertices", "edges", "edge_facets")
+
+
+def assert_integer_hull_matches_fraction_hull(points):
+    """The integer cloud and the same cloud as Fractions give the same hull,
+    and the integer one has int vertex coordinates and facet offsets."""
+    try:
+        p = hull(points)
+    except DegeneratePointSet:
+        with pytest.raises(DegeneratePointSet):
+            hull([tuple(Fraction(c) for c in q) for q in points])
+        return
+    q = hull([tuple(Fraction(c) for c in v) for v in points])
+    for field in HULL_FIELDS:
+        assert getattr(p, field) == getattr(q, field), field
+    assert all(type(x) is int for v in p.vertices for x in v)
+    assert all(type(c) is int for _, c in p.facets)
+
+
+def well_posed_newton_clouds(max_degree):
+    for a in itertools.combinations_with_replacement(range(1, max_degree), 4):
+        if sum(a) > max_degree:
+            continue
+        try:
+            yield anticanonical_points(WeightSystem.from_weights(a))
+        except IllPosedWeights:
+            continue
+
+
+def test_integer_hull_matches_fraction_hull_on_newton_clouds():
+    clouds = list(well_posed_newton_clouds(20))
+    assert len(clouds) == 235
+    for points in clouds:
+        assert_integer_hull_matches_fraction_hull(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(point_sets, dense_point_sets))
+def test_integer_hull_matches_fraction_hull(points):
+    assert_integer_hull_matches_fraction_hull(points)
+
+
+def test_hull_of_integer_cloud_builds_no_fraction(monkeypatch, rows):
+    clouds = [
+        [(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)],
+        anticanonical_points(rows[0].weights[0]),
+    ]
+    want = [hull(points) for points in clouds]
+
+    def no_fraction(*args):
+        raise AssertionError("hull built a Fraction")
+
+    monkeypatch.setattr(polytope, "Fraction", no_fraction)
+    for points, p in zip(clouds, want):
+        q = hull(points)
+        assert [getattr(q, f) for f in HULL_FIELDS] == [
+            getattr(p, f) for f in HULL_FIELDS
+        ]
+
+
+def test_contains_point_rejects_wrong_length():
+    c = cube()
+    for bad in [(0, 0), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            c.contains_point(bad)
 
 
 # -- duality ------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run end to end and print their summary line."""
+"""The scripts under scripts/ run end to end and print their summary line;
+table_report.py's whole output matches its golden file."""
 
 import os
 import subprocess
@@ -10,6 +11,16 @@ import pytest
 ROOT = Path(__file__).parents[1]
 
 
+def run_script(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize(
     "script, summary",
     [
@@ -18,10 +29,10 @@ ROOT = Path(__file__).parents[1]
     ],
 )
 def test_script_runs_and_summarizes(script, summary):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith(summary)
+    assert run_script(script).splitlines()[-1].startswith(summary)
+
+
+def test_table_report_matches_golden():
+    """Every column, the dual ranks included, byte for byte."""
+    golden = (ROOT / "tests" / "golden" / "table_report.txt").read_text()
+    assert run_script("table_report.py") == golden
