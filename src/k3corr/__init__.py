@@ -4,7 +4,6 @@ polar duality and reflexivity, Picard ranks by lattice point counts, and
 verification of the monomial transformation table."""
 
 from .correspondence import (
-    LatticeIso,
     VerificationReport,
     common_delta,
     derive_iso,
@@ -32,7 +31,6 @@ from .weights import (
 
 __all__ = [
     "FaceCounts",
-    "LatticeIso",
     "Monomial",
     "PicardBreakdown",
     "Polytope3",

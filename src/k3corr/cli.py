@@ -96,9 +96,7 @@ def cmd_verify_table(args) -> int:
             return USAGE_ERROR
     ok = True
     for row in rows:
-        reports = [correspondence.verify_row(row)]
-        if row.bold:
-            reports.append(correspondence.verify_swaps(row))
+        reports = [correspondence.verify_row(row), correspondence.verify_swaps(row)]
         for report, suffix in zip(reports, ("", ".swaps")):
             _print_report(report, args.format, suffix)
             ok = ok and report.passed
@@ -205,12 +203,12 @@ def cmd_amoeba(args) -> int:
         print(f"row {row.key} has families {row.ids}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        iso = correspondence.derive_iso(row, i, j)
+        u = correspondence.derive_iso(row, i, j)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
     print(f"# amoeba map {args.src} -> {args.dst} (log coordinates)")
-    for r in iso.u:
+    for r in u:
         print(" ".join(str(x) for x in r))
     return 0
 

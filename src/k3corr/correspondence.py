@@ -3,8 +3,10 @@
 The monomials in one column of a table row pin down a linear identification
 of the degree-zero exponent lattices: solve on three independent columns,
 then insist every remaining column is matched exactly.  On top of that sit
-the common polytope of a row, the full verification report, the bold-column
-exchange checks, and the vertex-deletion search for reflexive subpolytopes.
+the common polytope of a row (the hull of one weight's column points, whose
+containment in every Newton polytope the exact fits already prove), the
+full verification report, the bold-column exchange checks, and the
+vertex-deletion search for reflexive subpolytopes.
 """
 
 from __future__ import annotations
@@ -15,11 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dataset import RowRecord
-# fit_lattice_map's errors, under the names derive_iso has always raised
-from .intlinalg import InconsistentPairs as InconsistentColumns
-from .intlinalg import NotUnimodular as NotUnimodularMap
-from .intlinalg import RankDeficientSource as RankDeficientColumns
-from .intlinalg import fit_lattice_map, identity, is_unimodular, mat_mul, mat_vec
+from .intlinalg import InconsistentPairs, IntMat, NotUnimodular, RankDeficientSource
+from .intlinalg import fit_lattice_map, identity, is_unimodular, mat_mul
 from .picard import picard_rank
 from .polytope import (
     OriginNotInterior,
@@ -28,29 +27,11 @@ from .polytope import (
     is_reflexive,
     unimodular_equivalent,
 )
-from .weights import WeightSystem, newton_polytope
+from .weights import newton_polytope
 
 
 class NotReflexiveDelta(ValueError):
     """Raised when the common polytope of a row is not reflexive."""
-
-
-class NotContained(ValueError):
-    """Raised when the mapped common polytope leaves a Newton polytope."""
-
-
-@dataclass(frozen=True)
-class LatticeIso:
-    """Unimodular identification of two degree-zero exponent lattices.
-
-    `u` maps source lattice coordinates to target lattice coordinates.
-    Monomial coordinate changes act on the real logarithm space by the same
-    matrix, so it is also the linear map between the amoebas.
-    """
-
-    u: tuple[tuple[int, int, int], ...]
-    source: WeightSystem
-    target: WeightSystem
 
 
 def _column_points(row: RowRecord, weight_idx: int):
@@ -58,46 +39,47 @@ def _column_points(row: RowRecord, weight_idx: int):
     return [ws.monomial_point(m) for m in row.column_monomials(weight_idx)]
 
 
-def derive_iso(row: RowRecord, from_idx: int, to_idx: int) -> LatticeIso:
+def derive_iso(row: RowRecord, from_idx: int, to_idx: int) -> IntMat:
     """The unique linear map sending each source column point to its target.
 
     Solves on the first three linearly independent columns and verifies the
-    rest; anything else is an error, never a best fit.
+    rest; anything else is an error, never a best fit.  The matrix maps
+    source lattice coordinates to target lattice coordinates.  Monomial
+    coordinate changes act on the real logarithm space by the same matrix,
+    so it is also the linear map between the amoebas.
     """
     try:
-        u = fit_lattice_map(
+        return fit_lattice_map(
             _column_points(row, from_idx), _column_points(row, to_idx)
         )
-    except InconsistentColumns as exc:
+    except InconsistentPairs as exc:
         j = exc.bad[0]
-        raise InconsistentColumns(
+        raise InconsistentPairs(
             f"row {row.key}: no linear map fits columns {exc.bad} "
             f"({row.column_monomials(from_idx)[j]} vs "
             f"{row.column_monomials(to_idx)[j]})",
             exc.bad,
         ) from exc
-    except (RankDeficientColumns, NotUnimodularMap) as exc:
+    except (RankDeficientSource, NotUnimodular) as exc:
         raise type(exc)(f"row {row.key}: {exc}") from exc
-    return LatticeIso(u=u, source=row.weights[from_idx], target=row.weights[to_idx])
 
 
 @lru_cache(maxsize=None)
 def common_delta(row: RowRecord) -> Polytope3:
-    """Hull of the column points in the first weight's coordinates.
+    """Hull of the column points in the first weight's coordinates, checked
+    to be reflexive.
 
-    Checked to be reflexive and, through each derived isomorphism, contained
-    in the Newton polytope of every weight of the row (vertex by vertex).
+    Its image under derive_iso(row, 0, k) lies in the Newton polytope of
+    weight k without a further test: each vertex is a column point of
+    weight 0; the fitted map sends each of those exactly onto the matching
+    column point of weight k; monomial_point has checked that monomial's
+    degree and Monomial rejects negative exponents, so the image is an
+    anticanonical point of weight k; and the Newton polytope is the hull of
+    all of those.
     """
     delta = hull(_column_points(row, 0))
     if not is_reflexive(delta):
         raise NotReflexiveDelta(f"row {row.key}: common polytope is not reflexive")
-    for k in range(row.n_weights):
-        u, newton = derive_iso(row, 0, k).u, newton_polytope(row.weights[k])
-        if not all(newton.contains_point(mat_vec(u, v)) for v in delta.vertices):
-            raise NotContained(
-                f"row {row.key}: image leaves the Newton polytope of "
-                f"{row.weights[k]}"
-            )
     return delta
 
 
@@ -182,11 +164,11 @@ def verify_row(row: RowRecord) -> VerificationReport:
         if iso is None:
             continue
         isos[k] = iso
-        ck.record(f"iso[{pair}] unimodular", is_unimodular(iso.u))
+        ck.record(f"iso[{pair}] unimodular", is_unimodular(iso))
         back = ck.run(f"iso[{row.ids[k]}->{row.ids[0]}]", lambda k=k: derive_iso(row, k, 0))
         if back is not None:
             ck.record(
-                f"iso[{pair}] inverse pair", mat_mul(back.u, iso.u) == identity(3)
+                f"iso[{pair}] inverse pair", mat_mul(back, iso) == identity(3)
             )
     # path independence: j -> k directly equals composite through weight 0
     for j, k in itertools.combinations(range(1, row.n_weights), 2):
@@ -198,7 +180,7 @@ def verify_row(row: RowRecord) -> VerificationReport:
             if direct is not None:
                 ck.record(
                     f"iso[{row.ids[j]}->{row.ids[k]}] path-independent",
-                    mat_mul(direct.u, isos[j].u) == isos[k].u,
+                    mat_mul(direct, isos[j]) == isos[k],
                 )
 
     delta = ck.run("common-delta reflexive+contained", lambda: common_delta(row))
@@ -232,15 +214,9 @@ def _swap_columns(row: RowRecord, weight_idx: int, perm: dict[int, int]) -> RowR
     return row.with_columns(columns)
 
 
-def verify_swaps(row: RowRecord) -> VerificationReport:
-    """Check every exchange of bold monomials within a single weight's row.
-
-    For each non-identity permutation of the bold columns, applied to each
-    weight in turn, the re-derived correspondence must still verify.
-    """
-    ck = _Checks(row.key)
-    if not row.bold:
-        return ck.report()
+def _swaps(row: RowRecord):
+    """Each non-identity permutation of the bold columns, applied to each
+    weight in turn, as (label, weight index, swapped row)."""
     bold = list(row.bold)
     for images in itertools.permutations(bold):
         perm = dict(zip(bold, images))
@@ -248,15 +224,25 @@ def verify_swaps(row: RowRecord) -> VerificationReport:
             continue
         label = ",".join(f"{s}->{j}" for j, s in sorted(perm.items()))
         for k in range(row.n_weights):
-            swapped = _swap_columns(row, k, perm)
-            sub = verify_row(swapped)
-            ck.record(
-                f"swap[{label}] on {row.ids[k]}",
-                sub.passed,
-                "" if sub.passed else "; ".join(
-                    f"{c.name}: {c.detail}" for c in sub.checks if not c.passed
-                ),
-            )
+            yield label, k, _swap_columns(row, k, perm)
+
+
+def verify_swaps(row: RowRecord) -> VerificationReport:
+    """Check every exchange of bold monomials within a single weight's row.
+
+    Each swapped row of _swaps must still verify; a row without bold
+    columns has none, and its report is empty.
+    """
+    ck = _Checks(row.key)
+    for label, k, swapped in _swaps(row):
+        sub = verify_row(swapped)
+        ck.record(
+            f"swap[{label}] on {row.ids[k]}",
+            sub.passed,
+            "" if sub.passed else "; ".join(
+                f"{c.name}: {c.detail}" for c in sub.checks if not c.passed
+            ),
+        )
     return ck.report()
 
 
@@ -321,7 +307,7 @@ def search_sub_reflexive(
             if any(unimodular_equivalent(child, known) for known in bucket):
                 continue
             bucket.append(child)
-            if child.is_lattice and is_reflexive(child):
+            if is_reflexive(child):
                 if len(found) >= max_results:
                     exhausted = True
                     continue

@@ -9,7 +9,7 @@ columns whose monomials may be exchanged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -43,15 +43,7 @@ class RowRecord:
         return tuple(col[weight_idx] for col in self.columns)
 
     def with_columns(self, columns) -> "RowRecord":
-        return RowRecord(
-            ids=self.ids,
-            weights=self.weights,
-            degrees=self.degrees,
-            columns=tuple(tuple(col) for col in columns),
-            lattice_label=self.lattice_label,
-            rank=self.rank,
-            bold=self.bold,
-        )
+        return replace(self, columns=tuple(tuple(col) for col in columns))
 
 
 def _record_from_dict(raw: dict) -> RowRecord:

@@ -136,6 +136,26 @@ def test_verify_table_common_delta_failures(tmp_path, capsys, dropped, reason):
     assert err == ""
 
 
+def test_verify_table_inconsistent_iso_fails_once(tmp_path, capsys):
+    """Row 13-72 with two of family 72's monomials swapped: the isomorphism
+    fails, on one line, and the row and the run fail with exit code 1."""
+    rows = json.loads(
+        open("src/k3corr/data/table.json", encoding="utf-8").read()
+    )
+    row = next(r for r in rows if r["ids"] == [13, 72])
+    cols = row["columns"]
+    cols[0][1], cols[1][1] = cols[1][1], cols[0][1]
+    bad = tmp_path / "swapped.json"
+    bad.write_text(json.dumps([row]))
+    code, out, err = run(capsys, "verify-table", "--data", str(bad))
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and fails[0].startswith("[FAIL] 13-72: iso[13->72]  (")
+    assert "[  ok] 13-72: common-delta reflexive+contained" in out
+    assert out.endswith("row 13-72: FAIL\nFAILURES detected\n")
+    assert err == ""
+
+
 def test_verify_table_malformed_dataset(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

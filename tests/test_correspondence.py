@@ -5,10 +5,10 @@ from collections import Counter
 
 import pytest
 
+from k3corr import correspondence
 from k3corr.correspondence import (
-    InconsistentColumns,
-    RankDeficientColumns,
     _drop_vertex,
+    _swaps,
     common_delta,
     derive_iso,
     search_sub_reflexive,
@@ -16,35 +16,42 @@ from k3corr.correspondence import (
     verify_swaps,
 )
 from k3corr.dataset import RowRecord
-from k3corr.intlinalg import identity, is_unimodular, mat_mul, mat_vec
+from k3corr.intlinalg import (
+    InconsistentPairs,
+    RankDeficientSource,
+    identity,
+    is_unimodular,
+    mat_mul,
+    mat_vec,
+)
 from k3corr.picard import picard_rank
 from k3corr.polytope import hull, is_reflexive, unimodular_equivalent
 from k3corr.weights import Monomial, WeightSystem, newton_polytope, parse_monomial
 from test_polytope import assert_maps_onto, brute_force_equivalent
 
 
-def _iso_maps_all_columns(row, i, j, iso):
+def _iso_maps_all_columns(row, i, j, u):
     for col in row.columns:
         src = row.weights[i].monomial_point(col[i])
         tgt = row.weights[j].monomial_point(col[j])
-        assert tuple(mat_vec(iso.u, src)) == tgt
+        assert tuple(mat_vec(u, src)) == tgt
 
 
 def test_derive_iso_16_54(rows_by_key):
     """The displayed correspondence: Z^3<->Z^3, W^3YZ<->W^3XZ, W^6X<->W^7,
     X^4<->WY^3, WY^3<->X^3Y, all five columns matched by one map."""
     row = rows_by_key["16-54"]
-    iso = derive_iso(row, 0, 1)
-    assert is_unimodular(iso.u)
-    _iso_maps_all_columns(row, 0, 1, iso)
+    u = derive_iso(row, 0, 1)
+    assert is_unimodular(u)
+    _iso_maps_all_columns(row, 0, 1, u)
 
 
 def test_derive_iso_14_28_regression(rows_by_key):
     """Solved by hand in the canonical bases: the fourth column is forced."""
     row = rows_by_key["14-28-45-51"]
-    iso = derive_iso(row, 0, 1)
-    assert iso.u == ((0, -1, -1), (1, 7, 0), (0, 0, 1))
-    _iso_maps_all_columns(row, 0, 1, iso)
+    u = derive_iso(row, 0, 1)
+    assert u == ((0, -1, -1), (1, 7, 0), (0, 0, 1))
+    _iso_maps_all_columns(row, 0, 1, u)
 
 
 def test_derive_iso_identity_row():
@@ -60,20 +67,19 @@ def test_derive_iso_identity_row():
         lattice_label="test",
         rank=1,
     )
-    iso = derive_iso(row, 0, 1)
-    assert iso.u == identity(3)
+    assert derive_iso(row, 0, 1) == identity(3)
 
 
 def test_derive_iso_inverse_and_composition(rows_by_key):
     row = rows_by_key["14-28-45-51"]
     fwd = derive_iso(row, 0, 1)
     back = derive_iso(row, 1, 0)
-    assert mat_mul(fwd.u, back.u) == identity(3)
-    assert mat_mul(back.u, fwd.u) == identity(3)
+    assert mat_mul(fwd, back) == identity(3)
+    assert mat_mul(back, fwd) == identity(3)
     # a -> b -> c equals a -> c
     bc = derive_iso(row, 1, 2)
     ac = derive_iso(row, 0, 2)
-    assert mat_mul(bc.u, fwd.u) == ac.u
+    assert mat_mul(bc, fwd) == ac
 
 
 def test_derive_iso_all_pairs_all_rows(rows):
@@ -82,9 +88,9 @@ def test_derive_iso_all_pairs_all_rows(rows):
             for j in range(row.n_weights):
                 if i == j:
                     continue
-                iso = derive_iso(row, i, j)
-                assert is_unimodular(iso.u)
-                _iso_maps_all_columns(row, i, j, iso)
+                u = derive_iso(row, i, j)
+                assert is_unimodular(u)
+                _iso_maps_all_columns(row, i, j, u)
 
 
 def test_derive_iso_inconsistent_columns(rows_by_key):
@@ -92,7 +98,7 @@ def test_derive_iso_inconsistent_columns(rows_by_key):
     # swapping two monomials of one side breaks the correspondence but not degrees
     cols = [list(c) for c in row.columns]
     cols[0][1], cols[1][1] = cols[1][1], cols[0][1]
-    with pytest.raises(InconsistentColumns, match=r"^row 13-72: .* \(\S+ vs \S+\)$"):
+    with pytest.raises(InconsistentPairs, match=r"^row 13-72: .* \(\S+ vs \S+\)$"):
         derive_iso(row.with_columns(cols), 0, 1)
 
 
@@ -108,7 +114,7 @@ def test_derive_iso_rank_deficient():
         lattice_label="test",
         rank=1,
     )
-    with pytest.raises(RankDeficientColumns):
+    with pytest.raises(RankDeficientSource):
         derive_iso(row, 0, 1)
 
 
@@ -126,14 +132,32 @@ def test_common_delta_14_row(rows_by_key):
 
 
 def test_common_delta_contained_in_all_newtons(rows):
+    """The oracle for the containment the exact fits prove, by hulling each
+    image: on the table rows and on every swapped row verify_swaps builds."""
     from k3corr.polytope import transform
 
-    for row in rows:
+    swapped = [s for row in rows for _, _, s in _swaps(row)]
+    assert len(swapped) == 17
+    for row in list(rows) + swapped:
         delta = common_delta(row)
         assert is_reflexive(delta)
         for k, ws in enumerate(row.weights):
-            image = transform(delta, derive_iso(row, 0, k).u) if k else delta
+            image = transform(delta, derive_iso(row, 0, k)) if k else delta
             assert newton_polytope(ws).contains(image)
+
+
+def test_common_delta_needs_no_iso_and_no_newton(rows, monkeypatch):
+    """Delta is the hull of weight 0's column points and nothing more."""
+    expected = [common_delta(row).vertices for row in rows]
+
+    def forbidden(*args):
+        raise AssertionError("common_delta must not call this")
+
+    common_delta.cache_clear()
+    monkeypatch.setattr(correspondence, "derive_iso", forbidden)
+    monkeypatch.setattr(correspondence, "newton_polytope", forbidden)
+    assert [common_delta(row).vertices for row in rows] == expected
+    assert len(expected) == 16
 
 
 def test_figure2_containment(rows_by_key):
@@ -177,6 +201,27 @@ def test_verify_row_catches_corrupted_exponent(rows_by_key):
     failing = [c for c in report.checks if not c.passed]
     assert any("monomial-degrees" == c.name for c in failing)
     assert any(str(bad) in c.detail for c in failing)
+
+
+def test_verify_row_inconsistent_iso_fails_once(rows_by_key):
+    """A failed isomorphism is reported on its own line; delta depends on
+    weight 0's columns alone, so its check and the ranks still pass."""
+    row = rows_by_key["13-72"]
+    cols = [list(c) for c in row.columns]
+    cols[0][1], cols[1][1] = cols[1][1], cols[0][1]
+    report = verify_row(row.with_columns(cols))
+    assert not report.passed
+    assert [c.name for c in report.checks if not c.passed] == ["iso[13->72]"]
+    names = [c.name for c in report.checks]
+    assert "common-delta reflexive+contained" in names
+    assert names[names.index("common-delta reflexive+contained") + 1 :] == [
+        "rank(delta)",
+        "rank(delta)=8",
+        "rank(newton[13])",
+        "rank(newton[13])=8",
+        "rank(newton[72])",
+        "rank(newton[72])=8",
+    ]
 
 
 def test_verify_swaps_empty_without_bold(rows_by_key):
