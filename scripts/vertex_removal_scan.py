@@ -30,8 +30,9 @@ def main() -> int:
     triple = common_delta(rows["26-34-76"])
     pair = common_delta(rows["26-34"])
     print(f"\npair polytope == N(2,4,5,9) shape: {unimodular_equivalent(pair, n26) is not None}")
+    inside = all(pair.contains_point(v) for v in triple.vertices)
     print(f"triple polytope strictly inside pair: "
-          f"{pair.contains(triple) and pair.vertices != triple.vertices}")
+          f"{inside and pair.vertices != triple.vertices}")
     res = search_sub_reflexive(n26, max_depth=2)
     hits = [q for q in res.found if unimodular_equivalent(q, triple)]
     print(f"vertex-removal search on N(2,4,5,9): {len(res.found)} reflexive "

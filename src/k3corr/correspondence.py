@@ -12,7 +12,6 @@ vertex-deletion search for reflexive subpolytopes.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -256,18 +255,21 @@ class SubReflexiveSearch:
     explored: int = 0
 
 
-def _drop_vertex(p: Polytope3, points, v_idx: int):
-    """The hull of p's lattice points without vertex v_idx, and those points.
+def _children(p: Polytope3, points):
+    """Each vertex deletion of p, in vertex order, as (child, rest): the hull
+    of p's lattice points without that vertex, and those points.
 
     A vertex is extreme, so the child's lattice points are exactly the rest.
-    The child is None when it is degenerate or loses the interior origin.
+    Children that are degenerate or lose the interior origin are skipped.
     """
-    rest = [q for q in points if q != p.vertices[v_idx]]
-    try:
-        child = hull(rest)
-    except ValueError:
-        return None, rest
-    return (child if child.origin_interior else None), rest
+    for v in p.vertices:
+        rest = [q for q in points if q != v]
+        try:
+            child = hull(rest)
+        except ValueError:
+            continue
+        if child.origin_interior:
+            yield child, rest
 
 
 def search_sub_reflexive(
@@ -275,44 +277,39 @@ def search_sub_reflexive(
 ) -> SubReflexiveSearch:
     """Reflexive subpolytopes reachable by deleting vertices one at a time.
 
-    Breadth-first over "drop one vertex, re-hull the remaining lattice
-    points"; states that lose the origin from their interior are pruned
-    (no descendant can regain it, so a root without it raises
-    OriginNotInterior).  States are deduplicated up to GL(3, Z): a child is
-    tested for equivalence only against the states seen with the same
-    invariant key, and the first one seen stays.  Each result keeps the
-    origin interior.
+    Breadth-first, level by level, over "drop one vertex, re-hull the
+    remaining lattice points"; states that lose the origin from their
+    interior are pruned (no descendant can regain it, so a root without it
+    raises OriginNotInterior).  States are deduplicated up to GL(3, Z): a
+    child is tested for equivalence only against the states seen with the
+    same invariant key, and the first one seen stays.  Each result keeps the
+    origin interior.  The walk is exhausted when the cap turns a result
+    away or a state of the last level still has a child.
     """
     if not p.origin_interior:
         raise OriginNotInterior("the root lacks the origin in its interior")
     seen: dict[tuple, list[Polytope3]] = {p.gl3z_key: [p]}
     found: list[Polytope3] = []
-    queue = deque([(p, p.lattice_points, 0)])
+    level = [(p, p.lattice_points)]
     exhausted = False
     explored = 0
-    while queue:
-        state, points, depth = queue.popleft()
-        if depth >= max_depth:
-            if any(
-                _drop_vertex(state, points, i)[0] for i in range(state.n_vertices)
-            ):
-                exhausted = True
-            continue
-        explored += 1
-        for i in range(state.n_vertices):
-            child, rest = _drop_vertex(state, points, i)
-            if child is None:
-                continue
-            bucket = seen.setdefault(child.gl3z_key, [])
-            if any(unimodular_equivalent(child, known) for known in bucket):
-                continue
-            bucket.append(child)
-            if is_reflexive(child):
-                if len(found) >= max_results:
-                    exhausted = True
+    for _ in range(max_depth):
+        explored += len(level)
+        next_level = []
+        for state, points in level:
+            for child, rest in _children(state, points):
+                bucket = seen.setdefault(child.gl3z_key, [])
+                if any(unimodular_equivalent(child, known) for known in bucket):
                     continue
-                found.append(child)
-            queue.append((child, rest, depth + 1))
+                bucket.append(child)
+                if is_reflexive(child):
+                    if len(found) >= max_results:
+                        exhausted = True
+                        continue
+                    found.append(child)
+                next_level.append((child, rest))
+        level = next_level
+    exhausted = exhausted or any(next(_children(*s), None) for s in level)
     return SubReflexiveSearch(
         found=tuple(found), exhausted=exhausted, explored=explored
     )

@@ -47,6 +47,8 @@ class RowRecord:
 
 
 def _record_from_dict(raw: dict) -> RowRecord:
+    if not isinstance(raw, dict):
+        raise DatasetError(f"row record {json.dumps(raw)[:60]} is not a JSON object")
     try:
         ids = tuple(int(i) for i in raw["ids"])
         weights = tuple(WeightSystem.from_weights(w) for w in raw["weights"])

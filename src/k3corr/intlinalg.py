@@ -61,37 +61,29 @@ def transpose(m: Sequence[Sequence]) -> tuple:
     return tuple(zip(*m))
 
 
-def det(m: Sequence[Sequence]):
-    """Exact determinant by cofactor expansion (matrices here are <= 4x4)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return sum((-1) ** j * x * det(_minor(m, 0, j)) for j, x in enumerate(m[0]) if x)
-
-
-def _minor(m: Sequence[Sequence], i: int, j: int) -> tuple:
-    """m without row i and column j."""
-    return tuple(
-        tuple(x for c, x in enumerate(row) if c != j)
-        for r, row in enumerate(m)
-        if r != i
+def cross(u: Sequence, v: Sequence) -> tuple:
+    """The cross product of two 3-vectors."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
     )
 
 
+def det(m: Sequence[Sequence]):
+    """Exact determinant of a 3x3 matrix (the triple product of its rows)."""
+    return vec_dot(m[0], cross(m[1], m[2]))
+
+
 def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
-    """True iff the square integer matrix has determinant +-1."""
+    """True iff the 3x3 integer matrix has determinant +-1."""
     return det(m) in (1, -1)
 
 
 def adjugate(m: Sequence[Sequence]) -> tuple:
-    """Transpose of the cofactor matrix, so that m . adj(m) = det(m) I."""
-    n = len(m)
-    return tuple(
-        tuple((-1) ** (i + j) * det(_minor(m, j, i)) for j in range(n))
-        for i in range(n)
-    )
+    """Adjugate of a 3x3 matrix, so that m . adj(m) = det(m) I: its columns
+    are the cross products of pairs of rows."""
+    return transpose((cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1])))
 
 
 def mat_inv_rational(m: Sequence[Sequence]) -> tuple:

@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
     NotUnimodular,
+    cross,
     fit_lattice_map,
     independent_triple,
     mat_vec,
@@ -51,14 +52,6 @@ def _exact(x) -> int | Fraction:
     return int(f) if f.denominator == 1 else f
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _sub(u, v):
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
@@ -80,11 +73,11 @@ def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
         raise DegeneratePointSet("all points coincide")
     d01 = _sub(pts[i1], pts[i0])
     i2 = next(
-        (i for i in range(n) if any(_cross(d01, _sub(pts[i], pts[i0])))), None
+        (i for i in range(n) if any(cross(d01, _sub(pts[i], pts[i0])))), None
     )
     if i2 is None:
         raise DegeneratePointSet("points are collinear")
-    normal = _cross(d01, _sub(pts[i2], pts[i0]))
+    normal = cross(d01, _sub(pts[i2], pts[i0]))
     i3 = next(
         (i for i in range(n) if vec_dot(normal, _sub(pts[i], pts[i0]))), None
     )
@@ -180,10 +173,6 @@ class Polytope3:
         return all(
             nx * x + ny * y + nz * z >= -c for (nx, ny, nz), c in self.facets
         )
-
-    def contains(self, other: "Polytope3") -> bool:
-        """True iff every vertex of `other` satisfies every facet inequality."""
-        return all(self.contains_point(v) for v in other.vertices)
 
     # -- lattice data ------------------------------------------------------
 
@@ -284,7 +273,7 @@ def pick_counts(points, edges, edge_faces, normals) -> FaceCounts:
         for f in faces:
             rim[f] += g
             v0 = anchor.setdefault(f, points[i])
-            fan = _cross(_sub(points[i], v0), _sub(points[j], v0))
+            fan = cross(_sub(points[i], v0), _sub(points[j], v0))
             area2[f] += abs(vec_dot(fan, normals[f]))
     per_facet = []
     for n, a, b in zip(normals, area2, rim):

@@ -24,6 +24,7 @@ from k3corr.polytope import (
     unimodular_equivalent,
 )
 from k3corr.weights import WeightSystem, newton_polytope
+from test_polytope import contains
 
 EXPECTED_RANKS = {
     "13-72": 8,
@@ -100,7 +101,7 @@ def test_criterion_03_reflexivity_audit(rows):
         ok = ok and is_reflexive(delta)
         for k, ws in enumerate(row.weights):
             image = transform(delta, derive_iso(row, 0, k)) if k else delta
-            ok = ok and newton_polytope(ws).contains(image)
+            ok = ok and contains(newton_polytope(ws), image)
     report(3, "common delta reflexive and inside every Newton polytope", ok)
 
 
@@ -169,7 +170,7 @@ def test_criterion_08_figure2(rows_by_key):
     n26 = newton_polytope(WeightSystem.from_weights([2, 4, 5, 9]))
     n34 = newton_polytope(WeightSystem.from_weights([2, 6, 7, 15]))
     ok = (
-        pair.contains(triple)
+        contains(pair, triple)
         and pair.vertices != triple.vertices
         and is_reflexive(pair)
         and is_reflexive(triple)

@@ -175,6 +175,20 @@ def test_verify_table_bad_monomial_dataset(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["[[1, 2, 3]]", "[5]"])
+@pytest.mark.parametrize(
+    "argv", [["verify-table"], ["amoeba", "--row", "14", "--from", "14", "--to", "28"]]
+)
+def test_dataset_rows_that_are_not_objects(tmp_path, capsys, argv, text):
+    bad = tmp_path / "rows.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, *argv, "--data", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a JSON object" in err
+
+
 def test_verify_table_parallel_flag_is_gone(capsys):
     # rows verify serially; the removed process pool was slower
     code, out, err = run(capsys, "verify-table", "--row", "13", "--parallel")

@@ -1,13 +1,13 @@
 """Isomorphism derivation, row verification, swaps, subpolytope search."""
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
 from k3corr import correspondence
 from k3corr.correspondence import (
-    _drop_vertex,
+    _children,
     _swaps,
     common_delta,
     derive_iso,
@@ -27,7 +27,7 @@ from k3corr.intlinalg import (
 from k3corr.picard import picard_rank
 from k3corr.polytope import hull, is_reflexive, unimodular_equivalent
 from k3corr.weights import Monomial, WeightSystem, newton_polytope, parse_monomial
-from test_polytope import assert_maps_onto, brute_force_equivalent
+from test_polytope import assert_maps_onto, brute_force_equivalent, contains
 
 
 def _iso_maps_all_columns(row, i, j, u):
@@ -143,7 +143,7 @@ def test_common_delta_contained_in_all_newtons(rows):
         assert is_reflexive(delta)
         for k, ws in enumerate(row.weights):
             image = transform(delta, derive_iso(row, 0, k)) if k else delta
-            assert newton_polytope(ws).contains(image)
+            assert contains(newton_polytope(ws), image)
 
 
 def test_common_delta_needs_no_iso_and_no_newton(rows, monkeypatch):
@@ -163,9 +163,9 @@ def test_common_delta_needs_no_iso_and_no_newton(rows, monkeypatch):
 def test_figure2_containment(rows_by_key):
     pair = common_delta(rows_by_key["26-34"])
     triple = common_delta(rows_by_key["26-34-76"])
-    assert pair.contains(triple)
+    assert contains(pair, triple)
     assert pair.vertices != triple.vertices  # strict
-    assert not triple.contains(pair)
+    assert not contains(triple, pair)
     assert picard_rank(pair).rho == picard_rank(triple).rho == 14
 
 
@@ -256,7 +256,7 @@ def test_search_children_are_reflexive_and_inside():
     res = search_sub_reflexive(p, max_depth=1)
     for q in res.found:
         assert is_reflexive(q)
-        assert p.contains(q)
+        assert contains(p, q)
         assert q.origin_interior
 
 
@@ -313,12 +313,7 @@ def search_children(rows):
         root = common_delta(row)
         level = [(root, root.lattice_points)]
         for _ in range(2):
-            level = [
-                _drop_vertex(state, points, i)
-                for state, points in level
-                for i in range(state.n_vertices)
-            ]
-            level = [(child, rest) for child, rest in level if child is not None]
+            level = [c for s, pts in level for c in _children(s, pts)]
             children.update((child.vertices, child) for child, _ in level)
     return list(children.values())
 
@@ -394,3 +389,77 @@ def test_search_respects_result_cap():
         deeper = search_sub_reflexive(p, max_results=64, max_depth=3)
         if len(deeper.found) > 1:
             assert res.exhausted
+
+
+def reference_search(p, max_results=64, max_depth=3):
+    """The search as a FIFO queue of (state, points, depth), probing each
+    state at max_depth for a child: (found vertices, exhausted, explored)."""
+
+    def drop(state, points, v):
+        rest = [q for q in points if q != v]
+        try:
+            child = hull(rest)
+        except ValueError:
+            return None, rest
+        return (child if child.origin_interior else None), rest
+
+    seen = {p.gl3z_key: [p]}
+    found = []
+    queue = deque([(p, p.lattice_points, 0)])
+    exhausted = False
+    explored = 0
+    while queue:
+        state, points, depth = queue.popleft()
+        if depth >= max_depth:
+            if any(drop(state, points, v)[0] for v in state.vertices):
+                exhausted = True
+            continue
+        explored += 1
+        for v in state.vertices:
+            child, rest = drop(state, points, v)
+            if child is None:
+                continue
+            bucket = seen.setdefault(child.gl3z_key, [])
+            if any(unimodular_equivalent(child, known) for known in bucket):
+                continue
+            bucket.append(child)
+            if is_reflexive(child):
+                if len(found) >= max_results:
+                    exhausted = True
+                    continue
+                found.append(child)
+            queue.append((child, rest, depth + 1))
+    return [q.vertices for q in found], exhausted, explored
+
+
+@pytest.mark.parametrize("max_depth, max_results", [(2, 64), (3, 64), (2, 1)])
+def test_level_walk_matches_queue_walk(rows, max_depth, max_results):
+    for row in rows:
+        delta = common_delta(row)
+        res = search_sub_reflexive(delta, max_results=max_results, max_depth=max_depth)
+        assert (
+            [q.vertices for q in res.found], res.exhausted, res.explored
+        ) == reference_search(delta, max_results, max_depth)
+
+
+def test_search_16_54_last_level_has_no_child(rows_by_key):
+    """The depth-3 level is not empty, but none of its states has a child,
+    so the walk is complete."""
+    res = search_sub_reflexive(common_delta(rows_by_key["16-54"]), max_depth=3)
+    assert (len(res.found), res.explored, res.exhausted) == (4, 5, False)
+
+
+def test_search_hull_calls_at_depth_two(rows, monkeypatch):
+    """One hull per child tried, and the depth probe stops at the first
+    state of the last level that has a child."""
+    deltas = [common_delta(row) for row in rows]
+    calls = []
+
+    def counting_hull(points):
+        calls.append(len(points))
+        return hull(points)
+
+    monkeypatch.setattr(correspondence, "hull", counting_hull)
+    for delta in deltas:
+        search_sub_reflexive(delta, max_depth=2)
+    assert len(calls) == 306
