@@ -53,6 +53,8 @@ def _record_from_dict(raw: dict) -> RowRecord:
         ids = tuple(int(i) for i in raw["ids"])
         weights = tuple(WeightSystem.from_weights(w) for w in raw["weights"])
         degrees = tuple(int(d) for d in raw["degrees"])
+        if any(not isinstance(m, str) for col in raw["columns"] for m in col):
+            raise TypeError("column entries must be monomial strings")
         columns = tuple(
             tuple(parse_monomial(m) for m in col) for col in raw["columns"]
         )
@@ -62,6 +64,8 @@ def _record_from_dict(raw: dict) -> RowRecord:
     except (KeyError, ValueError, TypeError) as exc:
         raise DatasetError(f"bad row record {raw.get('ids', '?')}: {exc}") from exc
     n = len(weights)
+    if n < 2:
+        raise DatasetError(f"row {ids}: a row needs at least two weights")
     if len(ids) != n or len(degrees) != n:
         raise DatasetError(f"row {ids}: ids/weights/degrees lengths differ")
     if any(len(col) != n for col in columns):

@@ -16,10 +16,6 @@ IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 
 
-class NotInLattice(ValueError):
-    """Raised when a vector is not an integer combination of a lattice basis."""
-
-
 class IllPosedWeights(ValueError):
     """Raised for weight quadruples where some three weights share a factor."""
 
@@ -222,33 +218,8 @@ def kernel_basis(weights: Sequence[int]) -> IntMat:
     return h
 
 
-def to_coords(basis: IntMat, m: Sequence[int]) -> IntVec:
-    """Coordinates x with x . basis = m, for m in the lattice spanned by basis.
-
-    Exploits the HNF shape of the basis: back-substitute on pivot columns,
-    then verify the full residual.  Raises NotInLattice otherwise.
-    """
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    coords = []
-    for i, row in enumerate(basis):
-        j = row[pivots[i]]
-        residual = m[pivots[i]] - sum(
-            coords[k] * basis[k][pivots[i]] for k in range(i)
-        )
-        q, rem = divmod(residual, j)
-        if rem:
-            raise NotInLattice(f"{tuple(m)} is not in the lattice")
-        coords.append(q)
-    if any(
-        sum(coords[k] * basis[k][j] for k in range(len(basis))) != m[j]
-        for j in range(len(m))
-    ):
-        raise NotInLattice(f"{tuple(m)} is not in the lattice")
-    return tuple(coords)
-
-
 def from_coords(basis: IntMat, coords: Sequence) -> tuple:
-    """Inverse of to_coords: x . basis as an ambient 4-vector."""
+    """x . basis: the ambient 4-vector with lattice coordinates x."""
     return tuple(
         sum(coords[k] * basis[k][j] for k in range(len(basis)))
         for j in range(len(basis[0]))

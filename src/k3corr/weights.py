@@ -4,14 +4,17 @@ A weight system (a0 <= a1 <= a2 <= a3) fixes the degree d = sum(a_i) and a
 canonical basis of the rank-3 lattice of degree-zero exponent vectors.
 Anticanonical monomials in W, X, Y, Z map to lattice points by subtracting
 (1, 1, 1, 1) from the exponent vector and expressing the result in that
-basis.
+basis.  The left 3x3 block B of the HNF basis is upper triangular with
+pivots 1, g = gcd(a2, a3) and a3/g, so det B = a3, and one fixed integer
+map, adj(B) / a3 applied to the first three entries, gives the coordinates
+of every lattice vector.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from . import intlinalg
@@ -121,13 +124,33 @@ class WeightSystem:
     def _sorted_exponents(self, m: Monomial) -> tuple[int, int, int, int]:
         return tuple(m.e[i] for i in self.perm)
 
+    @cached_property
+    def _coords_map(self) -> IntMat:
+        """The columns of adj(B), for B the left 3x3 block of the basis."""
+        return intlinalg.transpose(
+            intlinalg.adjugate(tuple(row[:3] for row in self.basis))
+        )
+
+    def exponent_point(self, e: Sequence[int]) -> IntVec:
+        """Lattice coordinates of e - (1,1,1,1) for a sorted exponent vector e
+        of degree d: x . basis = e - (1,1,1,1) fixes x by its first three
+        entries, x = (e0 - 1, e1 - 1, e2 - 1) . adj(B) / det(B)."""
+        m0, m1, m2 = e[0] - 1, e[1] - 1, e[2] - 1
+        a3 = self.a[3]
+        coords = []
+        for c0, c1, c2 in self._coords_map:
+            q, rem = divmod(m0 * c0 + m1 * c1 + m2 * c2, a3)
+            if rem:
+                raise AssertionError(f"{tuple(e)} does not have degree {self.d}")
+            coords.append(q)
+        return tuple(coords)
+
     def monomial_point(self, m: Monomial) -> IntVec:
         """Lattice coordinates of the degree-zero vector e - (1,1,1,1)."""
         got = self.weighted_degree(m)
         if got != self.d:
             raise WrongDegree(m, got, self.d)
-        shifted = tuple(k - 1 for k in self._sorted_exponents(m))
-        return intlinalg.to_coords(self.basis, shifted)
+        return self.exponent_point(self._sorted_exponents(m))
 
     def point_monomial(self, coords: Sequence[int]) -> Monomial:
         """Inverse of monomial_point, for points with all entries >= -1."""
@@ -156,10 +179,7 @@ class WeightSystem:
 
 def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
     """Lattice points of the weight tetrahedron, via exponent enumeration."""
-    return tuple(
-        intlinalg.to_coords(ws.basis, tuple(k - 1 for k in e))
-        for e in ws.anticanonical_exponents()
-    )
+    return tuple(ws.exponent_point(e) for e in ws.anticanonical_exponents())
 
 
 @lru_cache(maxsize=None)

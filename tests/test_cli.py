@@ -175,18 +175,60 @@ def test_verify_table_bad_monomial_dataset(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("text", ["[[1, 2, 3]]", "[5]"])
-@pytest.mark.parametrize(
+DATA_COMMANDS = pytest.mark.parametrize(
     "argv", [["verify-table"], ["amoeba", "--row", "14", "--from", "14", "--to", "28"]]
 )
-def test_dataset_rows_that_are_not_objects(tmp_path, capsys, argv, text):
+
+
+def assert_dataset_error(tmp_path, capsys, argv, text, message):
     bad = tmp_path / "rows.json"
     bad.write_text(text)
     code, out, err = run(capsys, *argv, "--data", str(bad))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "not a JSON object" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("text", ["[[1, 2, 3]]", "[5]"])
+@DATA_COMMANDS
+def test_dataset_rows_that_are_not_objects(tmp_path, capsys, argv, text):
+    assert_dataset_error(tmp_path, capsys, argv, text, "not a JSON object")
+
+
+def row_json(weights, columns):
+    n = len(weights)
+    return json.dumps([{
+        "ids": list(range(1, n + 1)),
+        "weights": weights,
+        "degrees": [sum(w) for w in weights],
+        "columns": columns,
+        "lattice": "U",
+        "rank": 2,
+    }])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            row_json([[1, 1, 1, 1]] * 2, [[1, 2]]),
+            "column entries must be monomial strings",
+            id="int-column-entry",
+        ),
+        pytest.param(
+            row_json([], [[], [], [], []]), "at least two weights", id="no-weights"
+        ),
+        pytest.param(
+            row_json([[1, 1, 1, 1]], [["W^4"], ["X^4"], ["Y^4"], ["Z^4"]]),
+            "at least two weights",
+            id="one-weight",
+        ),
+    ],
+)
+@DATA_COMMANDS
+def test_dataset_rows_with_bad_fields(tmp_path, capsys, argv, text, message):
+    assert_dataset_error(tmp_path, capsys, argv, text, message)
 
 
 def test_verify_table_parallel_flag_is_gone(capsys):

@@ -1,5 +1,9 @@
 """Exact linear algebra: HNF, kernel bases, coordinates, lattice-map fitting.
 
+`to_coords` below is the general back-substitution for lattice
+coordinates; it is the reference that `WeightSystem.exponent_point` is
+tested against in test_weights.py.
+
 sympy's Smith invariant factors are the independent oracle for the
 saturation of kernel bases; HNF is checked structurally (shape, unimodular
 transform, lattice invariance) rather than against a second implementation,
@@ -16,7 +20,6 @@ from hypothesis import assume, given, settings, strategies as st
 from k3corr.intlinalg import (
     IllPosedWeights,
     InconsistentPairs,
-    NotInLattice,
     NotIntegral,
     NotUnimodular,
     RankDeficientSource,
@@ -32,7 +35,6 @@ from k3corr.intlinalg import (
     mat_inv_rational,
     mat_mul,
     mat_vec,
-    to_coords,
     xgcd,
 )
 
@@ -254,6 +256,35 @@ def test_kernel_basis_rejects_ill_posed():
         kernel_basis((0, 1, 1, 1))
     with pytest.raises(IllPosedWeights):
         kernel_basis((1, 1, 1))
+
+
+class NotInLattice(ValueError):
+    """Raised when a vector is not an integer combination of a lattice basis."""
+
+
+def to_coords(basis, m):
+    """Coordinates x with x . basis = m, for m in the lattice spanned by basis.
+
+    Exploits the HNF shape of the basis: back-substitute on pivot columns,
+    then verify the full residual.  Raises NotInLattice otherwise.
+    """
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    coords = []
+    for i, row in enumerate(basis):
+        j = row[pivots[i]]
+        residual = m[pivots[i]] - sum(
+            coords[k] * basis[k][pivots[i]] for k in range(i)
+        )
+        q, rem = divmod(residual, j)
+        if rem:
+            raise NotInLattice(f"{tuple(m)} is not in the lattice")
+        coords.append(q)
+    if any(
+        sum(coords[k] * basis[k][j] for k in range(len(basis))) != m[j]
+        for j in range(len(m))
+    ):
+        raise NotInLattice(f"{tuple(m)} is not in the lattice")
+    return tuple(coords)
 
 
 @pytest.mark.parametrize("a", WEIGHTS)

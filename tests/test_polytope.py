@@ -297,14 +297,19 @@ def assert_integer_hull_matches_fraction_hull(points):
     assert all(type(c) is int for _, c in p.facets)
 
 
-def well_posed_newton_clouds(max_degree):
+def well_posed_systems(max_degree):
+    """Every well-posed sorted quadruple with d <= max_degree."""
     for a in itertools.combinations_with_replacement(range(1, max_degree), 4):
         if sum(a) > max_degree:
             continue
         try:
-            yield anticanonical_points(WeightSystem.from_weights(a))
+            yield WeightSystem.from_weights(a)
         except IllPosedWeights:
             continue
+
+
+def well_posed_newton_clouds(max_degree):
+    return map(anticanonical_points, well_posed_systems(max_degree))
 
 
 def test_integer_hull_matches_fraction_hull_on_newton_clouds():

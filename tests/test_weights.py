@@ -2,12 +2,12 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from k3corr.intlinalg import IllPosedWeights, from_coords, to_coords
+from k3corr.intlinalg import IllPosedWeights, det, from_coords
 from k3corr.polytope import hull
 from k3corr.weights import (
     MalformedMonomial,
@@ -19,7 +19,8 @@ from k3corr.weights import (
     parse_monomial,
     weights_from_text,
 )
-from test_polytope import contains
+from test_intlinalg import to_coords
+from test_polytope import contains, well_posed_systems
 
 
 def test_parse_monomial_examples():
@@ -85,6 +86,43 @@ def test_monomial_point_wrong_degree():
         ws.monomial_point(parse_monomial("W^41"))
     assert err.value.got == 41
     assert err.value.want == 42
+
+
+def test_coords_block_is_triangular_with_determinant_a3():
+    # the fixed map of exponent_point divides by det(B) = a3
+    for ws in well_posed_systems(40):
+        block = tuple(row[:3] for row in ws.basis)
+        g = gcd(ws.a[2], ws.a[3])
+        assert [block[i][j] for i in range(3) for j in range(i)] == [0, 0, 0]
+        assert (block[0][0], block[1][1], block[2][2]) == (1, g, ws.a[3] // g)
+        assert det(block) == ws.a[3]
+
+
+def test_anticanonical_points_match_to_coords_oracle():
+    n = 0
+    for ws in well_posed_systems(30):
+        want = tuple(
+            to_coords(ws.basis, tuple(k - 1 for k in e))
+            for e in ws.anticanonical_exponents()
+        )
+        assert anticanonical_points(ws) == want
+        n += len(want)
+    assert n == 37908
+
+
+def test_monomial_point_matches_to_coords_oracle(rows):
+    for row in rows:
+        for k, ws in enumerate(row.weights):
+            for m in row.column_monomials(k):
+                shifted = tuple(m.e[i] - 1 for i in ws.perm)
+                assert ws.monomial_point(m) == to_coords(ws.basis, shifted)
+
+
+def test_exponent_point_off_lattice_is_an_invariant_error():
+    # (0, 0, 1, 0) has degree 14, not 42: no lattice vector starts (-1, -1, 0)
+    ws = WeightSystem.from_weights([1, 6, 14, 21])
+    with pytest.raises(AssertionError):
+        ws.exponent_point((0, 0, 1, 0))
 
 
 def test_point_monomial_round_trip(rows):
