@@ -9,6 +9,7 @@ deterministic machine-readable key=value lines.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import correspondence, picard
@@ -143,7 +144,7 @@ def cmd_points(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    if "," in args.target:
+    if "," in args.target and not os.path.isfile(args.target):
         _, p = _newton_arg(args.target)
     else:
         p = _read_polytope(args.target)

@@ -294,6 +294,8 @@ def search_sub_reflexive(
     exhausted = False
     explored = 0
     for _ in range(max_depth):
+        if not level:
+            break
         explored += len(level)
         next_level = []
         for state, points in level:

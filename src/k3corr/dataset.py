@@ -72,6 +72,8 @@ def _record_from_dict(raw: dict) -> RowRecord:
         raise DatasetError(f"row {ids}: every column needs {n} monomials")
     if any(not 0 <= b < len(columns) for b in bold):
         raise DatasetError(f"row {ids}: bold index out of range")
+    if len(set(bold)) != len(bold):
+        raise DatasetError(f"row {ids}: bold index repeated")
     return RowRecord(
         ids=ids,
         weights=weights,

@@ -2,7 +2,8 @@
 
 Everything here works over arbitrary-precision Python ints and
 ``fractions.Fraction``; there is no floating point anywhere.  Vectors are
-tuples of ints (or Fractions), matrices are tuples of row tuples.
+tuples of ints (or Fractions), matrices are tuples of row tuples.  The
+kernel basis of a weight quadruple is written down from modular inverses.
 """
 
 from __future__ import annotations
@@ -18,21 +19,6 @@ IntMat = tuple[IntVec, ...]
 
 class IllPosedWeights(ValueError):
     """Raised for weight quadruples where some three weights share a factor."""
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    s, next_s = 1, 0
-    t, next_t = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        s, next_s = next_s, s - q * next_s
-        t, next_t = next_t, t - q * next_t
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        s, t, g = -s, -t, -g
-    return g, s, t
 
 
 def identity(n: int) -> IntMat:
@@ -144,52 +130,6 @@ def fit_lattice_map(src: Sequence[Sequence], tgt: Sequence[Sequence]) -> IntMat:
     return u
 
 
-def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
-    """Row Hermite normal form.
-
-    Returns (h, u) with h = u * m, u unimodular.  Pivots are positive,
-    entries above a pivot are reduced into [0, pivot), zero rows sink to
-    the bottom.  The form is canonical, so it doubles as a deterministic
-    choice of basis for the row lattice.
-    """
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    u = [list(r) for r in identity(nrows)]
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, nrows):
-            while rows[i][c]:
-                g, s, t = xgcd(rows[r][c], rows[i][c])
-                pr, qi = rows[r][c] // g, rows[i][c] // g
-                rows[r], rows[i] = (
-                    [s * a + t * b for a, b in zip(rows[r], rows[i])],
-                    [-qi * a + pr * b for a, b in zip(rows[r], rows[i])],
-                )
-                u[r], u[i] = (
-                    [s * a + t * b for a, b in zip(u[r], u[i])],
-                    [-qi * a + pr * b for a, b in zip(u[r], u[i])],
-                )
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-        r += 1
-        if r == nrows:
-            break
-    h = tuple(tuple(row) for row in rows)
-    return h, tuple(tuple(row) for row in u)
-
-
 def check_well_posed(weights: Sequence[int]) -> None:
     if len(weights) != 4 or any(w <= 0 for w in weights):
         raise IllPosedWeights(f"need four positive weights, got {tuple(weights)}")
@@ -204,18 +144,29 @@ def check_well_posed(weights: Sequence[int]) -> None:
 
 
 def kernel_basis(weights: Sequence[int]) -> IntMat:
-    """Canonical basis (3x4, HNF rows) of {m in Z^4 : sum(a_i * m_i) = 0}.
+    """Canonical basis (3x4, row HNF) of {m in Z^4 : sum(a_i * m_i) = 0}.
 
-    If u * a = (g, 0, 0, 0)^T with u in GL(4, Z), the last three rows of u
-    generate the kernel lattice; re-running HNF on them makes the choice
-    canonical.
+    The pivots are 1, g = gcd(a2, a3) and q = a3/g in columns 0, 1, 2 (a
+    kernel vector with m0 = 0 has g | a1*m1, and gcd(a1, g) = 1 as the
+    weights are well-posed).  Each row's entry above a pivot is its least
+    non-negative residue modulo that pivot, and its last entry makes the
+    weighted sum 0: r3 = (0, 0, q, -a2/g), r2 = (0, g, s, .) with
+    (a2/g)*s = -a1 mod q, and r1 = (1, y1, y2, .) with a1*y1 = -a0 mod g and
+    (a2/g)*y2 = -(a0 + a1*y1)/g mod q.  pow(x, -1, 1) = 0 is the residue mod 1.
     """
     check_well_posed(weights)
-    col = tuple((w,) for w in weights)
-    _, u = hnf(col)
-    basis = u[1:]
-    h, _ = hnf(basis)
-    return h
+    a0, a1, a2, a3 = weights
+    g = gcd(a2, a3)
+    q, b2 = a3 // g, a2 // g
+    inv_b2 = pow(b2, -1, q)
+    y1 = -a0 * pow(a1, -1, g) % g
+    y2 = (-a0 - a1 * y1) // g * inv_b2 % q
+    s = -a1 * inv_b2 % q
+    return (
+        (1, y1, y2, -(a0 + a1 * y1 + a2 * y2) // a3),
+        (0, g, s, -(a1 * g + a2 * s) // a3),
+        (0, 0, q, -b2),
+    )
 
 
 def from_coords(basis: IntMat, coords: Sequence) -> tuple:

@@ -1,13 +1,13 @@
 """Weight systems, anticanonical monomials and their Newton polytopes.
 
-A weight system (a0 <= a1 <= a2 <= a3) fixes the degree d = sum(a_i) and a
-canonical basis of the rank-3 lattice of degree-zero exponent vectors.
-Anticanonical monomials in W, X, Y, Z map to lattice points by subtracting
-(1, 1, 1, 1) from the exponent vector and expressing the result in that
-basis.  The left 3x3 block B of the HNF basis is upper triangular with
-pivots 1, g = gcd(a2, a3) and a3/g, so det B = a3, and one fixed integer
-map, adj(B) / a3 applied to the first three entries, gives the coordinates
-of every lattice vector.
+A weight system is its sorted weights (a0 <= a1 <= a2 <= a3) and their
+input order.  These fix the degree d = sum(a_i) and the canonical basis of
+the rank-3 lattice of degree-zero exponent vectors, a row HNF that
+`intlinalg.kernel_basis` writes in closed form.  An anticanonical monomial
+maps to the coordinates of e - (1, 1, 1, 1) in that basis.  The basis's
+left 3x3 block B is upper triangular with pivots 1, g = gcd(a2, a3) and
+a3/g, so det B = a3, and one fixed integer map, adj(B) / a3 applied to the
+first three entries, gives the coordinates of every lattice vector.
 """
 
 from __future__ import annotations
@@ -90,33 +90,35 @@ def parse_monomial(text: str) -> Monomial:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Well-posed quadruple of positive weights, ascending, with its lattice basis.
+    """Well-posed quadruple of positive weights, ascending; d and basis follow.
 
     `perm` records where each sorted weight came from in the input order, so
     monomials written in the caller's W,X,Y,Z convention stay meaningful.
     """
 
     a: tuple[int, int, int, int]
-    d: int
-    basis: IntMat
     perm: tuple[int, int, int, int]
 
     @classmethod
     def from_weights(cls, weights: Sequence[int]) -> "WeightSystem":
         intlinalg.check_well_posed(weights)
         order = sorted(range(4), key=lambda i: weights[i])
-        a = tuple(weights[i] for i in order)
-        return cls(a=a, d=sum(a), basis=intlinalg.kernel_basis(a), perm=tuple(order))
+        return cls(a=tuple(weights[i] for i in order), perm=tuple(order))
+
+    @cached_property
+    def d(self) -> int:
+        return sum(self.a)
+
+    @cached_property
+    def basis(self) -> IntMat:
+        return intlinalg.kernel_basis(self.a)
 
     def __str__(self):
         return ",".join(str(w) for w in self.input_weights)
 
     @property
     def input_weights(self) -> tuple[int, int, int, int]:
-        w = [0] * 4
-        for k, i in enumerate(self.perm):
-            w[i] = self.a[k]
-        return tuple(w)
+        return tuple(self.a[self.perm.index(i)] for i in range(4))
 
     def weighted_degree(self, m: Monomial) -> int:
         return sum(w * k for w, k in zip(self.input_weights, m.e))
@@ -158,10 +160,7 @@ class WeightSystem:
         e_sorted = tuple(x + 1 for x in shifted)
         if any(x < 0 for x in e_sorted):
             raise ValueError(f"{tuple(coords)} is outside the exponent cone")
-        e = [0] * 4
-        for k, i in enumerate(self.perm):
-            e[i] = e_sorted[k]
-        return Monomial(tuple(e))
+        return Monomial(tuple(e_sorted[self.perm.index(i)] for i in range(4)))
 
     def anticanonical_exponents(self) -> Iterator[tuple[int, int, int, int]]:
         """All e >= 0 with sum(a_i e_i) = d, in sorted-weight coordinates."""

@@ -97,6 +97,26 @@ def test_verify_table_kv_matches_golden_under_optimize():
     assert proc.stdout == (root / "perfbench" / "golden" / "table.kv").read_bytes()
 
 
+def test_verify_table_kv_matches_golden_without_site_packages():
+    """The package runs on the standard library alone: ``python -S`` drops
+    site-packages, ``-I`` ignores PYTHONPATH, and only ``src`` goes on the
+    path."""
+    import subprocess
+    import sys
+
+    root = Path(__file__).parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(root / 'src')!r}); "
+        "from k3corr.cli import main; "
+        "sys.exit(main(['verify-table', '--format', 'kv']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "perfbench" / "golden" / "table.kv").read_bytes()
+
+
 def test_verify_table_corrupted_dataset(tmp_path, capsys):
     rows = json.loads(
         open("src/k3corr/data/table.json", encoding="utf-8").read()
@@ -196,7 +216,7 @@ def test_dataset_rows_that_are_not_objects(tmp_path, capsys, argv, text):
     assert_dataset_error(tmp_path, capsys, argv, text, "not a JSON object")
 
 
-def row_json(weights, columns):
+def row_json(weights, columns, **fields):
     n = len(weights)
     return json.dumps([{
         "ids": list(range(1, n + 1)),
@@ -205,6 +225,7 @@ def row_json(weights, columns):
         "columns": columns,
         "lattice": "U",
         "rank": 2,
+        **fields,
     }])
 
 
@@ -223,6 +244,15 @@ def row_json(weights, columns):
             row_json([[1, 1, 1, 1]], [["W^4"], ["X^4"], ["Y^4"], ["Z^4"]]),
             "at least two weights",
             id="one-weight",
+        ),
+        pytest.param(
+            row_json(
+                [[1, 1, 1, 1]] * 2,
+                [["W^4", "W^4"], ["X^4", "X^4"], ["Y^4", "Y^4"]],
+                bold=[0, 0, 2],
+            ),
+            "bold index repeated",
+            id="repeated-bold",
         ),
     ],
 )
@@ -302,6 +332,16 @@ def test_picard_file_and_kv(tmp_path, capsys):
     code, out, _ = run(capsys, "picard", str(f), "--format", "kv")
     assert code == 0
     assert out == "rho=3 toric=3 correction=0\n"
+
+
+def test_picard_reads_a_file_whose_name_has_a_comma(tmp_path, capsys):
+    octahedron = "1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n"
+    plain, comma = tmp_path / "octahedron.txt", tmp_path / "octa,hedron.txt"
+    plain.write_text(octahedron)
+    comma.write_text(octahedron)
+    want = run(capsys, "picard", str(plain))
+    assert want[0] == 0 and want[1].startswith("rho=")
+    assert run(capsys, "picard", str(comma)) == want
 
 
 def test_picard_non_reflexive_fails(tmp_path, capsys):

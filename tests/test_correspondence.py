@@ -1,6 +1,7 @@
 """Isomorphism derivation, row verification, swaps, subpolytope search."""
 
 import itertools
+import sys
 from collections import Counter, deque
 
 import pytest
@@ -447,6 +448,26 @@ def test_search_16_54_last_level_has_no_child(rows_by_key):
     so the walk is complete."""
     res = search_sub_reflexive(common_delta(rows_by_key["16-54"]), max_depth=3)
     assert (len(res.found), res.explored, res.exhausted) == (4, 5, False)
+
+
+#: table rows whose delta's walk runs out of states within depth 10; the
+#: other six still have states with children there
+WALKS_ENDING_BY_DEPTH_10 = (
+    "26-34", "26-34-76", "27-49", "16-54", "43-48", "43-48-88", "68-83-92",
+    "30-86", "46-65-80", "56-73",
+)
+
+
+@pytest.mark.parametrize("key", WALKS_ENDING_BY_DEPTH_10)
+def test_search_stops_at_the_first_empty_level(rows_by_key, key):
+    """Once a level is empty the walk is over, so a depth cap beyond it
+    changes nothing and costs nothing."""
+    delta = common_delta(rows_by_key[key])
+    deep = search_sub_reflexive(delta, max_depth=sys.maxsize)
+    res = search_sub_reflexive(delta, max_depth=10)
+    assert not res.exhausted
+    assert [q.vertices for q in deep.found] == [q.vertices for q in res.found]
+    assert (deep.exhausted, deep.explored) == (res.exhausted, res.explored)
 
 
 def test_search_hull_calls_at_depth_two(rows, monkeypatch):

@@ -1,8 +1,10 @@
-"""Exact linear algebra: HNF, kernel bases, coordinates, lattice-map fitting.
+"""Exact linear algebra: kernel bases, coordinates, lattice-map fitting.
 
-`to_coords` below is the general back-substitution for lattice
-coordinates; it is the reference that `WeightSystem.exponent_point` is
-tested against in test_weights.py.
+`xgcd`, `hnf` and `to_coords` below are the general routines that the
+package no longer needs: the two-pass row HNF of the weight column is the
+reference that the closed-form `kernel_basis` is tested against here, and
+`to_coords` (back-substitution for lattice coordinates) the one that
+`WeightSystem.exponent_point` is tested against in test_weights.py.
 
 sympy's Smith invariant factors are the independent oracle for the
 saturation of kernel bases; HNF is checked structurally (shape, unimodular
@@ -10,7 +12,9 @@ transform, lattice invariance) rather than against a second implementation,
 since conventions differ.
 """
 
+import itertools
 import random
+from typing import Sequence
 
 import pytest
 import sympy
@@ -20,6 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 from k3corr.intlinalg import (
     IllPosedWeights,
     InconsistentPairs,
+    IntMat,
     NotIntegral,
     NotUnimodular,
     RankDeficientSource,
@@ -27,7 +32,6 @@ from k3corr.intlinalg import (
     det,
     fit_lattice_map,
     from_coords,
-    hnf,
     identity,
     independent_triple,
     is_unimodular,
@@ -35,8 +39,79 @@ from k3corr.intlinalg import (
     mat_inv_rational,
     mat_mul,
     mat_vec,
-    xgcd,
 )
+from test_polytope import well_posed_systems
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s, next_s = 1, 0
+    t, next_t = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        s, next_s = next_s, s - q * next_s
+        t, next_t = next_t, t - q * next_t
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        s, t, g = -s, -t, -g
+    return g, s, t
+
+
+def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
+    """Row Hermite normal form.
+
+    Returns (h, u) with h = u * m, u unimodular.  Pivots are positive,
+    entries above a pivot are reduced into [0, pivot), zero rows sink to
+    the bottom.  The form is canonical, so it doubles as a deterministic
+    choice of basis for the row lattice.
+    """
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    u = [list(r) for r in identity(nrows)]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, nrows):
+            while rows[i][c]:
+                g, s, t = xgcd(rows[r][c], rows[i][c])
+                pr, qi = rows[r][c] // g, rows[i][c] // g
+                rows[r], rows[i] = (
+                    [s * a + t * b for a, b in zip(rows[r], rows[i])],
+                    [-qi * a + pr * b for a, b in zip(rows[r], rows[i])],
+                )
+                u[r], u[i] = (
+                    [s * a + t * b for a, b in zip(u[r], u[i])],
+                    [-qi * a + pr * b for a, b in zip(u[r], u[i])],
+                )
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+        r += 1
+        if r == nrows:
+            break
+    h = tuple(tuple(row) for row in rows)
+    return h, tuple(tuple(row) for row in u)
+
+
+def hnf_kernel_basis(weights):
+    """The kernel basis by two HNF passes: if u * a = (g, 0, 0, 0)^T with u
+    in GL(4, Z), the last three rows of u generate the kernel lattice, and
+    their HNF is the canonical choice."""
+    _, u = hnf(tuple((w,) for w in weights))
+    h, _ = hnf(u[1:])
+    return h
+
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -220,6 +295,35 @@ def test_fit_lattice_map_rank_deficient():
     plane = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0)]
     with pytest.raises(RankDeficientSource):
         fit_lattice_map(plane, plane)
+
+
+def test_kernel_basis_matches_two_pass_hnf_on_sorted_weights():
+    n = 0
+    for ws in well_posed_systems(40):
+        assert kernel_basis(ws.a) == hnf_kernel_basis(ws.a), ws.a
+        n += 1
+    assert n == 3118
+
+
+def test_kernel_basis_matches_two_pass_hnf_on_table_weight_orders(rows):
+    for row in rows:
+        for ws in row.weights:
+            for a in itertools.permutations(ws.a):
+                assert kernel_basis(a) == hnf_kernel_basis(a), a
+
+
+def test_kernel_basis_is_a_saturated_hnf_basis_of_the_kernel():
+    """Structural checks with no HNF code: row HNF shape, every row in the
+    kernel, and invariant factors (1, 1, 1), so the rows span all of it."""
+    n = 0
+    for ws in well_posed_systems(20):
+        basis = kernel_basis(ws.a)
+        assert _is_row_hnf(basis)
+        assert all(sum(w * x for w, x in zip(ws.a, b)) == 0 for b in basis)
+        theirs = sympy.Matrix(list(map(list, basis)))
+        assert tuple(invariant_factors(theirs)) == (1, 1, 1)
+        n += 1
+    assert n == 235
 
 
 def test_kernel_basis_all_table_weights(rows):

@@ -1,5 +1,6 @@
 """Weight systems, monomial parsing, the weight tetrahedron and Newton polytopes."""
 
+from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -7,7 +8,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from k3corr.intlinalg import IllPosedWeights, det, from_coords
+from k3corr.intlinalg import IllPosedWeights, det, from_coords, kernel_basis
 from k3corr.polytope import hull
 from k3corr.weights import (
     MalformedMonomial,
@@ -50,6 +51,16 @@ def test_weight_system_sorted_and_well_posed():
     assert ws.input_weights == (12, 1, 8, 3)
     with pytest.raises(IllPosedWeights):
         WeightSystem.from_weights([2, 4, 6, 9])
+
+
+def test_weight_system_is_just_its_weights():
+    """d and basis follow from a; equality and hashing see only a and perm."""
+    assert [f.name for f in fields(WeightSystem)] == ["a", "perm"]
+    ws = WeightSystem.from_weights([12, 1, 8, 3])
+    assert ws.basis == kernel_basis(ws.a)
+    assert ws == WeightSystem.from_weights((12, 1, 8, 3))
+    assert hash(ws) == hash(WeightSystem.from_weights((12, 1, 8, 3)))
+    assert ws != WeightSystem.from_weights([1, 3, 8, 12])
 
 
 def test_unsorted_weights_keep_variable_convention():
