@@ -283,15 +283,14 @@ def search_sub_reflexive(
     raises OriginNotInterior).  States are deduplicated up to GL(3, Z): a
     child is tested for equivalence only against the states seen with the
     same invariant key, and the first one seen stays.  Each result keeps the
-    origin interior.  The walk is exhausted when the cap turns a result
-    away or a state of the last level still has a child.
+    origin interior.  The walk is exhausted when the cap turns a result away,
+    which ends it at once, or when a state of the last level has a child.
     """
     if not p.origin_interior:
         raise OriginNotInterior("the root lacks the origin in its interior")
     seen: dict[tuple, list[Polytope3]] = {p.gl3z_key: [p]}
     found: list[Polytope3] = []
     level = [(p, p.lattice_points)]
-    exhausted = False
     explored = 0
     for _ in range(max_depth):
         if not level:
@@ -306,12 +305,11 @@ def search_sub_reflexive(
                 bucket.append(child)
                 if is_reflexive(child):
                     if len(found) >= max_results:
-                        exhausted = True
-                        continue
+                        return SubReflexiveSearch(tuple(found), True, explored)
                     found.append(child)
                 next_level.append((child, rest))
         level = next_level
-    exhausted = exhausted or any(next(_children(*s), None) for s in level)
+    exhausted = any(next(_children(*s), None) for s in level)
     return SubReflexiveSearch(
         found=tuple(found), exhausted=exhausted, explored=explored
     )

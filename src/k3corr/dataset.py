@@ -46,21 +46,27 @@ class RowRecord:
         return replace(self, columns=tuple(tuple(col) for col in columns))
 
 
+def _ints(values) -> tuple[int, ...]:
+    if any(type(x) is not int for x in values):
+        raise TypeError(f"{values!r} holds a value that is not a JSON integer")
+    return tuple(values)
+
+
 def _record_from_dict(raw: dict) -> RowRecord:
     if not isinstance(raw, dict):
         raise DatasetError(f"row record {json.dumps(raw)[:60]} is not a JSON object")
     try:
-        ids = tuple(int(i) for i in raw["ids"])
-        weights = tuple(WeightSystem.from_weights(w) for w in raw["weights"])
-        degrees = tuple(int(d) for d in raw["degrees"])
+        ids = _ints(raw["ids"])
+        weights = tuple(WeightSystem.from_weights(_ints(w)) for w in raw["weights"])
+        degrees = _ints(raw["degrees"])
         if any(not isinstance(m, str) for col in raw["columns"] for m in col):
             raise TypeError("column entries must be monomial strings")
         columns = tuple(
             tuple(parse_monomial(m) for m in col) for col in raw["columns"]
         )
         lattice = str(raw["lattice"])
-        rank = int(raw["rank"])
-        bold = tuple(int(i) for i in raw.get("bold", ()))
+        rank = _ints([raw["rank"]])[0]
+        bold = _ints(raw.get("bold", ()))
     except (KeyError, ValueError, TypeError) as exc:
         raise DatasetError(f"bad row record {raw.get('ids', '?')}: {exc}") from exc
     n = len(weights)
@@ -74,6 +80,8 @@ def _record_from_dict(raw: dict) -> RowRecord:
         raise DatasetError(f"row {ids}: bold index out of range")
     if len(set(bold)) != len(bold):
         raise DatasetError(f"row {ids}: bold index repeated")
+    if len(bold) == 1:
+        raise DatasetError(f"row {ids}: a single bold index has nothing to swap")
     return RowRecord(
         ids=ids,
         weights=weights,

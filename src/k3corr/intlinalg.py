@@ -169,14 +169,6 @@ def kernel_basis(weights: Sequence[int]) -> IntMat:
     )
 
 
-def from_coords(basis: IntMat, coords: Sequence) -> tuple:
-    """x . basis: the ambient 4-vector with lattice coordinates x."""
-    return tuple(
-        sum(coords[k] * basis[k][j] for k in range(len(basis)))
-        for j in range(len(basis[0]))
-    )
-
-
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (positive gcd)."""
     g = gcd(*v)

@@ -5,9 +5,9 @@ input order.  These fix the degree d = sum(a_i) and the canonical basis of
 the rank-3 lattice of degree-zero exponent vectors, a row HNF that
 `intlinalg.kernel_basis` writes in closed form.  An anticanonical monomial
 maps to the coordinates of e - (1, 1, 1, 1) in that basis.  The basis's
-left 3x3 block B is upper triangular with pivots 1, g = gcd(a2, a3) and
-a3/g, so det B = a3, and one fixed integer map, adj(B) / a3 applied to the
-first three entries, gives the coordinates of every lattice vector.
+left 3x3 block is upper triangular with pivots 1, g = gcd(a2, a3) and
+a3/g, so back-substitution gives the coordinates of a lattice vector, and
+the weight tetrahedron's points are enumerated in coordinates directly.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import intlinalg
-from .intlinalg import IntMat, IntVec
+from .intlinalg import IntMat, IntVec, mat_vec, transpose
 from .polytope import Polytope3, hull
 
 VARIABLES = "WXYZ"
@@ -123,62 +123,53 @@ class WeightSystem:
     def weighted_degree(self, m: Monomial) -> int:
         return sum(w * k for w, k in zip(self.input_weights, m.e))
 
-    def _sorted_exponents(self, m: Monomial) -> tuple[int, int, int, int]:
-        return tuple(m.e[i] for i in self.perm)
-
-    @cached_property
-    def _coords_map(self) -> IntMat:
-        """The columns of adj(B), for B the left 3x3 block of the basis."""
-        return intlinalg.transpose(
-            intlinalg.adjugate(tuple(row[:3] for row in self.basis))
-        )
-
     def exponent_point(self, e: Sequence[int]) -> IntVec:
         """Lattice coordinates of e - (1,1,1,1) for a sorted exponent vector e
         of degree d: x . basis = e - (1,1,1,1) fixes x by its first three
-        entries, x = (e0 - 1, e1 - 1, e2 - 1) . adj(B) / det(B)."""
-        m0, m1, m2 = e[0] - 1, e[1] - 1, e[2] - 1
-        a3 = self.a[3]
-        coords = []
-        for c0, c1, c2 in self._coords_map:
-            q, rem = divmod(m0 * c0 + m1 * c1 + m2 * c2, a3)
-            if rem:
-                raise AssertionError(f"{tuple(e)} does not have degree {self.d}")
-            coords.append(q)
-        return tuple(coords)
+        entries, solved by back-substitution through the triangular block."""
+        (_, y1, y2, _), (_, g, s, _), (_, _, q, _) = self.basis
+        x0 = e[0] - 1
+        x1, rem1 = divmod(e[1] - 1 - y1 * x0, g)
+        x2, rem2 = divmod(e[2] - 1 - y2 * x0 - s * x1, q)
+        if rem1 or rem2:
+            raise AssertionError(f"{tuple(e)} does not have degree {self.d}")
+        return (x0, x1, x2)
 
     def monomial_point(self, m: Monomial) -> IntVec:
         """Lattice coordinates of the degree-zero vector e - (1,1,1,1)."""
         got = self.weighted_degree(m)
         if got != self.d:
             raise WrongDegree(m, got, self.d)
-        return self.exponent_point(self._sorted_exponents(m))
+        return self.exponent_point(tuple(m.e[i] for i in self.perm))
 
     def point_monomial(self, coords: Sequence[int]) -> Monomial:
         """Inverse of monomial_point, for points with all entries >= -1."""
-        shifted = intlinalg.from_coords(self.basis, coords)
-        e_sorted = tuple(x + 1 for x in shifted)
+        e_sorted = tuple(x + 1 for x in mat_vec(transpose(self.basis), coords))
         if any(x < 0 for x in e_sorted):
             raise ValueError(f"{tuple(coords)} is outside the exponent cone")
         return Monomial(tuple(e_sorted[self.perm.index(i)] for i in range(4)))
 
-    def anticanonical_exponents(self) -> Iterator[tuple[int, int, int, int]]:
-        """All e >= 0 with sum(a_i e_i) = d, in sorted-weight coordinates."""
-        a, d = self.a, self.d
-        for e0 in range(d // a[0] + 1):
-            r0 = d - a[0] * e0
-            for e1 in range(r0 // a[1] + 1):
-                r1 = r0 - a[1] * e1
-                for e2 in range(r1 // a[2] + 1):
-                    r2 = r1 - a[2] * e2
-                    q, rem = divmod(r2, a[3])
-                    if rem == 0:
-                        yield (e0, e1, e2, q)
-
 
 def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
-    """Lattice points of the weight tetrahedron, via exponent enumeration."""
-    return tuple(ws.exponent_point(e) for e in ws.anticanonical_exponents())
+    """Lattice points of the weight tetrahedron, enumerated in coordinates.
+
+    With basis rows (1, y1, y2, .), (0, g, s, .), (0, 0, q, .), the point x
+    has e0 = 1 + x0, e1 = c1 + g*x1 (c1 = 1 + y1*x0), e2 = c2 + q*x2 (c2 =
+    1 + y2*x0 + s*x1).  e0 >= 0 and a0*e0 <= d bound x0, e1 >= 0 and a1*e1
+    <= r0 = d - a0*e0 bound x1, e2 >= 0 and a2*e2 <= r0 - a1*e1 (e3 >= 0)
+    bound x2.  Each e_i grows with x_i, so the points come in (e0, e1, e2) order.
+    """
+    a0, a1, a2, _ = ws.a
+    (_, y1, y2, _), (_, g, s, _), (_, _, q, _) = ws.basis
+    points = []
+    for x0 in range(-1, ws.d // a0):
+        r0 = ws.d - a0 * (x0 + 1)
+        c1 = 1 + y1 * x0
+        for x1 in range(-(c1 // g), (r0 // a1 - c1) // g + 1):
+            c2 = 1 + y2 * x0 + s * x1
+            hi = ((r0 - a1 * (c1 + g * x1)) // a2 - c2) // q
+            points.extend((x0, x1, x2) for x2 in range(-(c2 // q), hi + 1))
+    return tuple(points)
 
 
 @lru_cache(maxsize=None)

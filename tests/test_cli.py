@@ -9,6 +9,9 @@ from k3corr.cli import main
 from k3corr.dataset import load_rows
 
 
+TABLE_JSON = Path(__file__).parents[1] / "src/k3corr/data/table.json"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -118,9 +121,7 @@ def test_verify_table_kv_matches_golden_without_site_packages():
 
 
 def test_verify_table_corrupted_dataset(tmp_path, capsys):
-    rows = json.loads(
-        open("src/k3corr/data/table.json", encoding="utf-8").read()
-    )
+    rows = json.loads(TABLE_JSON.read_text(encoding="utf-8"))
     rows[0]["columns"][0][0] = "Z^3"  # wrong degree for (1,3,8,12)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(rows))
@@ -139,9 +140,7 @@ def test_verify_table_corrupted_dataset(tmp_path, capsys):
 def test_verify_table_common_delta_failures(tmp_path, capsys, dropped, reason):
     """Row 13-72 without one column still derives its isomorphism, but the
     hull of the remaining column points fails the common-delta check."""
-    rows = json.loads(
-        open("src/k3corr/data/table.json", encoding="utf-8").read()
-    )
+    rows = json.loads(TABLE_JSON.read_text(encoding="utf-8"))
     row = next(r for r in rows if r["ids"] == [13, 72])
     del row["columns"][dropped]
     bad = tmp_path / "dropped.json"
@@ -159,9 +158,7 @@ def test_verify_table_common_delta_failures(tmp_path, capsys, dropped, reason):
 def test_verify_table_inconsistent_iso_fails_once(tmp_path, capsys):
     """Row 13-72 with two of family 72's monomials swapped: the isomorphism
     fails, on one line, and the row and the run fail with exit code 1."""
-    rows = json.loads(
-        open("src/k3corr/data/table.json", encoding="utf-8").read()
-    )
+    rows = json.loads(TABLE_JSON.read_text(encoding="utf-8"))
     row = next(r for r in rows if r["ids"] == [13, 72])
     cols = row["columns"]
     cols[0][1], cols[1][1] = cols[1][1], cols[0][1]
@@ -185,9 +182,7 @@ def test_verify_table_malformed_dataset(tmp_path, capsys):
 
 
 def test_verify_table_bad_monomial_dataset(tmp_path, capsys):
-    rows = json.loads(
-        open("src/k3corr/data/table.json", encoding="utf-8").read()
-    )
+    rows = json.loads(TABLE_JSON.read_text(encoding="utf-8"))
     rows[0]["columns"][0][0] = "Q^3"
     bad = tmp_path / "bad2.json"
     bad.write_text(json.dumps(rows))
@@ -229,6 +224,10 @@ def row_json(weights, columns, **fields):
     }])
 
 
+#: a valid column set for two quartic weights
+QUARTIC_COLUMNS = [["W^4", "W^4"], ["X^4", "X^4"], ["Y^4", "Y^4"]]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -253,6 +252,36 @@ def row_json(weights, columns, **fields):
             ),
             "bold index repeated",
             id="repeated-bold",
+        ),
+        pytest.param(
+            row_json([[1, 1, 1, 1]] * 2, QUARTIC_COLUMNS, bold=[0]),
+            "a single bold index",
+            id="single-bold",
+        ),
+        pytest.param(
+            row_json([[1, 1, 1, 1]] * 2, QUARTIC_COLUMNS, ids=[1.9, 2]),
+            "not a JSON integer",
+            id="float-id",
+        ),
+        pytest.param(
+            row_json([[1.0, 1, 1, 1], [1, 1, 1, 1]], QUARTIC_COLUMNS),
+            "not a JSON integer",
+            id="float-weight",
+        ),
+        pytest.param(
+            row_json([[1, 1, 1, 1]] * 2, QUARTIC_COLUMNS, degrees=[4, 4.0]),
+            "not a JSON integer",
+            id="float-degree",
+        ),
+        pytest.param(
+            row_json([[1, 1, 1, 1]] * 2, QUARTIC_COLUMNS, rank=8.9),
+            "not a JSON integer",
+            id="float-rank",
+        ),
+        pytest.param(
+            row_json([[1, 1, 1, 1]] * 2, QUARTIC_COLUMNS, bold=[True]),
+            "not a JSON integer",
+            id="bool-bold",
         ),
     ],
 )

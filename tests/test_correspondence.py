@@ -394,7 +394,9 @@ def test_search_respects_result_cap():
 
 def reference_search(p, max_results=64, max_depth=3):
     """The search as a FIFO queue of (state, points, depth), probing each
-    state at max_depth for a child: (found vertices, exhausted, explored)."""
+    state at max_depth for a child: (found vertices, exhausted, explored).
+    The cap ends the walk, and every state of the depth it ends in counts
+    as explored."""
 
     def drop(state, points, v):
         rest = [q for q in points if q != v]
@@ -426,8 +428,8 @@ def reference_search(p, max_results=64, max_depth=3):
             bucket.append(child)
             if is_reflexive(child):
                 if len(found) >= max_results:
-                    exhausted = True
-                    continue
+                    level_rest = sum(1 for *_, k in queue if k == depth)
+                    return [q.vertices for q in found], True, explored + level_rest
                 found.append(child)
             queue.append((child, rest, depth + 1))
     return [q.vertices for q in found], exhausted, explored
@@ -448,6 +450,15 @@ def test_search_16_54_last_level_has_no_child(rows_by_key):
     so the walk is complete."""
     res = search_sub_reflexive(common_delta(rows_by_key["16-54"]), max_depth=3)
     assert (len(res.found), res.explored, res.exhausted) == (4, 5, False)
+
+
+def test_search_cap_ends_the_walk(rows_by_key):
+    """A reflexive child turned away at the cap ends the walk in its level:
+    the root and the four states of depth 1, not the 140 states a walk on
+    to max_depth would explore."""
+    delta = common_delta(rows_by_key["13-72"])
+    res = search_sub_reflexive(delta, max_results=1, max_depth=6)
+    assert (len(res.found), res.exhausted, res.explored) == (1, True, 5)
 
 
 #: table rows whose delta's walk runs out of states within depth 10; the

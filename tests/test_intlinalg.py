@@ -3,8 +3,9 @@
 `xgcd`, `hnf` and `to_coords` below are the general routines that the
 package no longer needs: the two-pass row HNF of the weight column is the
 reference that the closed-form `kernel_basis` is tested against here, and
-`to_coords` (back-substitution for lattice coordinates) the one that
-`WeightSystem.exponent_point` is tested against in test_weights.py.
+`to_coords` (back-substitution on any row-HNF basis, then a full residual
+check) the one that `WeightSystem.exponent_point` and `anticanonical_points`
+are tested against in test_weights.py.
 
 sympy's Smith invariant factors are the independent oracle for the
 saturation of kernel bases; HNF is checked structurally (shape, unimodular
@@ -31,7 +32,6 @@ from k3corr.intlinalg import (
     adjugate,
     det,
     fit_lattice_map,
-    from_coords,
     identity,
     independent_triple,
     is_unimodular,
@@ -39,6 +39,7 @@ from k3corr.intlinalg import (
     mat_inv_rational,
     mat_mul,
     mat_vec,
+    transpose,
 )
 from test_polytope import well_posed_systems
 
@@ -397,7 +398,7 @@ def test_coords_round_trip_random_lattice_points(a):
     rnd = random.Random(20250810)
     for _ in range(1000):
         x = tuple(rnd.randint(-50, 50) for _ in range(3))
-        m = from_coords(basis, x)
+        m = mat_vec(transpose(basis), x)
         assert sum(w * c for w, c in zip(a, m)) == 0
         assert to_coords(basis, m) == x
 
@@ -407,7 +408,7 @@ def test_to_coords_examples():
     assert to_coords(basis, (0, 0, 0, 0)) == (0, 0, 0)
     assert to_coords(basis, basis[0]) == (1, 0, 0)
     coords = to_coords(basis, (41, -1, -1, -1))
-    assert from_coords(basis, coords) == (41, -1, -1, -1)
+    assert mat_vec(transpose(basis), coords) == (41, -1, -1, -1)
 
 
 def test_to_coords_rejects_non_lattice():

@@ -29,6 +29,7 @@ from k3corr.polytope import (
 from k3corr.weights import WeightSystem, newton_polytope
 
 from test_polytope import cube, octahedron, quartic_simplex
+from test_weights import anticanonical_exponents
 
 
 def test_quartic_breakdown():
@@ -197,7 +198,7 @@ def reflexive_newton_polytopes(max_degree):
             ws = WeightSystem.from_weights(a)
         except IllPosedWeights:
             continue
-        exponents = list(ws.anticanonical_exponents())
+        exponents = list(anticanonical_exponents(ws))
         if not all(min(e) == 0 and max(e) >= 2 for e in zip(*exponents)):
             continue
         try:

@@ -1,5 +1,6 @@
 """Weight systems, monomial parsing, the weight tetrahedron and Newton polytopes."""
 
+import itertools
 from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
@@ -8,7 +9,13 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from k3corr.intlinalg import IllPosedWeights, det, from_coords, kernel_basis
+from k3corr.intlinalg import (
+    IllPosedWeights,
+    det,
+    kernel_basis,
+    mat_vec,
+    transpose,
+)
 from k3corr.polytope import hull
 from k3corr.weights import (
     MalformedMonomial,
@@ -20,8 +27,31 @@ from k3corr.weights import (
     parse_monomial,
     weights_from_text,
 )
-from test_intlinalg import to_coords
+from test_intlinalg import NotInLattice, to_coords
 from test_polytope import contains, well_posed_systems
+
+
+def anticanonical_exponents(ws):
+    """All e >= 0 with sum(a_i e_i) = d, in sorted-weight coordinates: the
+    exponent filter that `anticanonical_points` is checked against."""
+    a, d = ws.a, ws.d
+    for e0 in range(d // a[0] + 1):
+        r0 = d - a[0] * e0
+        for e1 in range(r0 // a[1] + 1):
+            r1 = r0 - a[1] * e1
+            for e2 in range(r1 // a[2] + 1):
+                r2 = r1 - a[2] * e2
+                q, rem = divmod(r2, a[3])
+                if rem == 0:
+                    yield (e0, e1, e2, q)
+
+
+def filtered_points(ws):
+    """The oracle's exponents mapped through to_coords, in the filter's order."""
+    return tuple(
+        to_coords(ws.basis, tuple(k - 1 for k in e))
+        for e in anticanonical_exponents(ws)
+    )
 
 
 def test_parse_monomial_examples():
@@ -82,13 +112,13 @@ def test_monomial_point_origin():
 def test_monomial_point_w42():
     ws = WeightSystem.from_weights([1, 6, 14, 21])
     pt = ws.monomial_point(parse_monomial("W^42"))
-    assert from_coords(ws.basis, pt) == (41, -1, -1, -1)
+    assert mat_vec(transpose(ws.basis), pt) == (41, -1, -1, -1)
 
 
 def test_monomial_point_x5y():
     ws = WeightSystem.from_weights([1, 2, 5, 7])
     pt = ws.monomial_point(parse_monomial("X^5Y"))
-    assert from_coords(ws.basis, pt) == (-1, 4, 0, -1)
+    assert mat_vec(transpose(ws.basis), pt) == (-1, 4, 0, -1)
 
 
 def test_monomial_point_wrong_degree():
@@ -100,7 +130,7 @@ def test_monomial_point_wrong_degree():
 
 
 def test_coords_block_is_triangular_with_determinant_a3():
-    # the fixed map of exponent_point divides by det(B) = a3
+    # exponent_point and anticanonical_points back-substitute through this block
     for ws in well_posed_systems(40):
         block = tuple(row[:3] for row in ws.basis)
         g = gcd(ws.a[2], ws.a[3])
@@ -111,14 +141,33 @@ def test_coords_block_is_triangular_with_determinant_a3():
 
 def test_anticanonical_points_match_to_coords_oracle():
     n = 0
-    for ws in well_posed_systems(30):
-        want = tuple(
-            to_coords(ws.basis, tuple(k - 1 for k in e))
-            for e in ws.anticanonical_exponents()
-        )
+    for ws in well_posed_systems(40):
+        want = filtered_points(ws)
         assert anticanonical_points(ws) == want
         n += len(want)
-    assert n == 37908
+    assert n == 104981
+
+
+def test_anticanonical_points_match_oracle_on_table_weight_orders(rows):
+    """The enumeration sees only the sorted weights, and every point maps to
+    a monomial of degree d in the input order and back."""
+    for a in {ws.a for row in rows for ws in row.weights}:
+        want = filtered_points(WeightSystem.from_weights(a))
+        for order in itertools.permutations(a):
+            ws = WeightSystem.from_weights(order)
+            assert anticanonical_points(ws) == want
+            monomials = [ws.point_monomial(x) for x in want]
+            assert all(ws.weighted_degree(m) == ws.d for m in monomials)
+            assert tuple(map(ws.monomial_point, monomials)) == want
+
+
+@pytest.mark.parametrize("n", [4, 5, 40, 400])
+def test_anticanonical_points_count_on_1_1_1_n(n):
+    # e3 = 0 leaves e0 + e1 + e2 = n + 3, e3 = 1 leaves 3, and e3 >= 2 is
+    # out of reach once n >= 4
+    assert len(anticanonical_points(WeightSystem.from_weights([1, 1, 1, n]))) == (
+        comb(n + 5, 2) + 10
+    )
 
 
 def test_monomial_point_matches_to_coords_oracle(rows):
@@ -134,6 +183,23 @@ def test_exponent_point_off_lattice_is_an_invariant_error():
     ws = WeightSystem.from_weights([1, 6, 14, 21])
     with pytest.raises(AssertionError):
         ws.exponent_point((0, 0, 1, 0))
+
+
+def test_exponent_point_raises_exactly_off_the_block_lattice():
+    """x is fixed by the first three entries of e - 1, and exponent_point
+    raises exactly when they are not in the row lattice of the basis's
+    triangular block; each system here has both pivots g and q above 1."""
+    for w in ((1, 6, 14, 21), (5, 6, 22, 33), (7, 8, 10, 25)):
+        ws = WeightSystem.from_weights(w)
+        block = tuple(row[:3] for row in ws.basis)
+        for e in itertools.product(range(12), repeat=3):
+            try:
+                want = to_coords(block, tuple(k - 1 for k in e))
+            except NotInLattice:
+                with pytest.raises(AssertionError):
+                    ws.exponent_point(e + (0,))
+                continue
+            assert ws.exponent_point(e + (0,)) == want
 
 
 def test_point_monomial_round_trip(rows):
@@ -163,7 +229,7 @@ def delta_tetrahedron(ws):
 def test_delta_tetrahedron_integral_case():
     ws = WeightSystem.from_weights([1, 6, 14, 21])
     p = delta_tetrahedron(ws)
-    corners = {from_coords(ws.basis, v) for v in p.vertices}
+    corners = {mat_vec(transpose(ws.basis), v) for v in p.vertices}
     assert corners == {
         (41, -1, -1, -1),
         (-1, 6, -1, -1),
@@ -188,7 +254,7 @@ def test_delta_tetrahedron_symmetric():
 def test_delta_tetrahedron_rational_vertex():
     ws = WeightSystem.from_weights([2, 4, 5, 9])
     p = delta_tetrahedron(ws)
-    corners = [from_coords(ws.basis, v) for v in p.vertices]
+    corners = [mat_vec(transpose(ws.basis), v) for v in p.vertices]
     fractional = [c for c in corners if any(Fraction(x).denominator != 1 for x in c)]
     assert len(fractional) == 1
     assert fractional[0] == (-1, -1, -1, Fraction(11, 9))
@@ -262,7 +328,9 @@ def test_anticanonical_enumeration_matches_filter(weights):
         ws = WeightSystem.from_weights(weights)
     except IllPosedWeights:
         return
-    got = set(ws.anticanonical_exponents())
+    pts = anticanonical_points(ws)
+    assert list(pts) == sorted(set(pts))
+    got = [tuple(m + 1 for m in mat_vec(transpose(ws.basis), x)) for x in pts]
     d, a = ws.d, ws.a
     brute = {
         (e0, e1, e2, e3)
@@ -272,7 +340,8 @@ def test_anticanonical_enumeration_matches_filter(weights):
         for e3 in range(d // a[3] + 1)
         if a[0] * e0 + a[1] * e1 + a[2] * e2 + a[3] * e3 == d
     }
-    assert got == brute
+    assert len(got) == len(brute)
+    assert set(got) == brute
 
 
 def test_weights_from_text():
