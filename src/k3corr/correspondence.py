@@ -20,8 +20,11 @@ from .intlinalg import InconsistentPairs, IntMat, NotUnimodular, RankDeficientSo
 from .intlinalg import fit_lattice_map, identity, is_unimodular, mat_mul
 from .picard import picard_rank
 from .polytope import (
+    DegeneratePointSet,
     OriginNotInterior,
     Polytope3,
+    _from_mesh,
+    _triangle_hull,
     hull,
     is_reflexive,
     unimodular_equivalent,
@@ -260,16 +263,21 @@ def _children(p: Polytope3, points):
     of p's lattice points without that vertex, and those points.
 
     A vertex is extreme, so the child's lattice points are exactly the rest.
-    Children that are degenerate or lose the interior origin are skipped.
+    `points` must be sorted, duplicate-free and integer, as
+    `Polytope3.lattice_points` is, and so is every `rest` filtered from it.
+    That is the cloud `hull` would make of it, so the triangle mesh built
+    from `rest` directly gives the same child as `hull(rest)`.  Children
+    that are degenerate, or whose mesh has a triangle with s <= 0 (the
+    origin is not interior), are skipped before any polytope is built.
     """
     for v in p.vertices:
         rest = [q for q in points if q != v]
         try:
-            child = hull(rest)
-        except ValueError:
+            mesh = _triangle_hull(rest)
+        except DegeneratePointSet:
             continue
-        if child.origin_interior:
-            yield child, rest
+        if all(s > 0 for _, s in mesh.values()):
+            yield _from_mesh(rest, 1, mesh), rest
 
 
 def search_sub_reflexive(

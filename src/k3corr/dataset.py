@@ -64,7 +64,9 @@ def _record_from_dict(raw: dict) -> RowRecord:
         columns = tuple(
             tuple(parse_monomial(m) for m in col) for col in raw["columns"]
         )
-        lattice = str(raw["lattice"])
+        lattice = raw["lattice"]
+        if not isinstance(lattice, str):
+            raise TypeError(f"lattice {lattice!r} is not a JSON string")
         rank = _ints([raw["rank"]])[0]
         bold = _ints(raw.get("bold", ()))
     except (KeyError, ValueError, TypeError) as exc:

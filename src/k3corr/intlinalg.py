@@ -167,11 +167,3 @@ def kernel_basis(weights: Sequence[int]) -> IntMat:
         (0, g, s, -(a1 * g + a2 * s) // a3),
         (0, 0, q, -b2),
     )
-
-
-def primitive(v: Sequence[int]) -> IntVec:
-    """Divide an integer vector by the gcd of its entries (positive gcd)."""
-    g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in v)

@@ -1,10 +1,14 @@
 """Exact 3-dimensional polytopes over the rationals.
 
-A polytope is built once from a point cloud by an incremental (beneath-beyond)
-convex hull over exact arithmetic, after which it is immutable.  The hull runs
-on integers: a rational cloud is scaled by the lcm of its denominators, and an
-integer cloud (every Newton polytope and search child) is used as it is, with
-no Fraction round trip.  The hull's triangle mesh is the one source of its
+A polytope is built once from a point cloud, after which it is immutable.
+`hull` does it in three steps: it makes the cloud canonical (sorted, distinct,
+exact), runs an incremental (beneath-beyond) convex hull over exact integers
+that gives a triangle mesh, and builds the polytope from that mesh.  A rational
+cloud is scaled by the lcm of its denominators; an integer cloud (every Newton
+polytope and search child) is hulled as it is, with no Fraction round trip.
+A search child's cloud is canonical already, so the search runs the mesh step
+itself, drops a child whose mesh shows the origin outside its interior, and
+hands the rest to the same builder.  The mesh is the one source of the
 combinatorics: vertices in canonical lexicographic order, facets as primitive
 inward inequalities <n, x> >= -c, the full facet/vertex incidence, and edges
 with the two facets meeting in each.  Per-face lattice point counts follow
@@ -30,7 +34,6 @@ from .intlinalg import (
     fit_lattice_map,
     independent_triple,
     mat_vec,
-    primitive,
     vec_dot,
 )
 
@@ -291,26 +294,37 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
 
     Returns the polytope with its minimal vertex set (lexicographically
     sorted), primitive facet inequalities, incidence and edges, all read off
-    the triangle mesh of :func:`_triangle_hull`.  Raises DegeneratePointSet
-    when the affine span has dimension < 3.
+    the triangle mesh of :func:`_triangle_hull` by :func:`_from_mesh`.
+    Raises DegeneratePointSet when the affine span has dimension < 3.
 
     Rational points are scaled to integers by the lcm of their denominators,
     and offsets scaled back.  Integer points take no Fraction round trip: the
     scale is 1, the cloud is hulled as it is and the offsets stay ints.
     """
-    cloud = sorted({tuple(_exact(c) for c in p) for p in points})
+    cloud = sorted({tuple(map(_exact, p)) for p in points})
     if len(cloud) < 4:
         raise DegeneratePointSet("need at least 4 distinct points")
-    scale = lcm(*(c.denominator for p in cloud for c in p))
+    scale = lcm(*(c.denominator for p in cloud for c in p if type(c) is not int))
     ipts = cloud if scale == 1 else [tuple(int(c * scale) for c in p) for p in cloud]
+    return _from_mesh(cloud, scale, _triangle_hull(ipts))
 
-    # group the triangles by facet plane (outward form <g, x> <= s), and
-    # record the plane that owns each directed triangle edge
+
+def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
+    """The polytope of a sorted, duplicate-free cloud from its triangle mesh.
+
+    `mesh` is :func:`_triangle_hull` of the cloud scaled by `scale` (the
+    cloud itself when `scale` is 1).  Checks that every facet has at least
+    3 vertices, that Euler's relation holds and that every cloud point is
+    contained, and raises AssertionError otherwise.
+    """
+    # group the triangles by facet plane (outward form <g, x> <= s, made
+    # primitive by one gcd, which divides s as the corners are integers),
+    # and record the plane that owns each directed triangle edge
     planes: dict[tuple[tuple[int, int, int], int], set[int]] = {}
     owner = {}
-    for (a, b, c), (g, _) in _triangle_hull(ipts).items():
-        g = primitive(g)
-        plane = (g, vec_dot(g, ipts[a]))
+    for (a, b, c), ((gx, gy, gz), s) in mesh.items():
+        d = gcd(gx, gy, gz)
+        plane = ((gx // d, gy // d, gz // d), s // d)
         planes.setdefault(plane, set()).update((a, b, c))
         owner[a, b] = owner[b, c] = owner[c, a] = plane
 

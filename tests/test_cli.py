@@ -283,6 +283,16 @@ QUARTIC_COLUMNS = [["W^4", "W^4"], ["X^4", "X^4"], ["Y^4", "Y^4"]]
             "not a JSON integer",
             id="bool-bold",
         ),
+        pytest.param(
+            row_json([[1, 1, 1, 1]] * 2, QUARTIC_COLUMNS, lattice=None),
+            "not a JSON string",
+            id="null-lattice",
+        ),
+        pytest.param(
+            row_json([[1, 1, 1, 1]] * 2, QUARTIC_COLUMNS, lattice=5),
+            "not a JSON string",
+            id="int-lattice",
+        ),
     ],
 )
 @DATA_COMMANDS

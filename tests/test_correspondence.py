@@ -1,6 +1,7 @@
 """Isomorphism derivation, row verification, swaps, subpolytope search."""
 
 import itertools
+import random
 import sys
 from collections import Counter, deque
 
@@ -26,9 +27,22 @@ from k3corr.intlinalg import (
     mat_vec,
 )
 from k3corr.picard import picard_rank
-from k3corr.polytope import hull, is_reflexive, unimodular_equivalent
+from k3corr.polytope import (
+    DegeneratePointSet,
+    _from_mesh,
+    _triangle_hull,
+    hull,
+    is_reflexive,
+    transform,
+    unimodular_equivalent,
+)
 from k3corr.weights import Monomial, WeightSystem, newton_polytope, parse_monomial
-from test_polytope import assert_maps_onto, brute_force_equivalent, contains
+from test_polytope import (
+    assert_maps_onto,
+    brute_force_equivalent,
+    contains,
+    polytope_fields,
+)
 
 
 def _iso_maps_all_columns(row, i, j, u):
@@ -482,16 +496,69 @@ def test_search_stops_at_the_first_empty_level(rows_by_key, key):
 
 
 def test_search_hull_calls_at_depth_two(rows, monkeypatch):
-    """One hull per child tried, and the depth probe stops at the first
-    state of the last level that has a child."""
+    """One triangle mesh per child tried, and a polytope only for the
+    children that keep the origin interior; the depth probe stops at the
+    first state of the last level that has a child."""
     deltas = [common_delta(row) for row in rows]
-    calls = []
+    meshes, polytopes = [], []
 
-    def counting_hull(points):
-        calls.append(len(points))
-        return hull(points)
+    def counting_mesh(points):
+        meshes.append(len(points))
+        return _triangle_hull(points)
 
-    monkeypatch.setattr(correspondence, "hull", counting_hull)
+    def counting_build(cloud, scale, mesh):
+        polytopes.append(len(cloud))
+        return _from_mesh(cloud, scale, mesh)
+
+    monkeypatch.setattr(correspondence, "_triangle_hull", counting_mesh)
+    monkeypatch.setattr(correspondence, "_from_mesh", counting_build)
     for delta in deltas:
         search_sub_reflexive(delta, max_depth=2)
-    assert len(calls) == 306
+    assert (len(meshes), len(polytopes)) == (306, 121)
+
+
+def signed_permutation(rng):
+    """A 3x3 signed permutation matrix drawn from rng."""
+    perm = rng.sample(range(3), 3)
+    return tuple(
+        tuple(rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(3))
+        for i in range(3)
+    )
+
+
+def test_children_match_hull_on_table_deltas(rows):
+    """To depth 2 from each row's delta and three signed-permutation images
+    of it: every child equals hull(rest) field for field, and every vertex
+    skipped leaves a degenerate rest or one without the origin inside."""
+    rng = random.Random(15)
+    yielded_total = skipped_total = 0
+    for row in rows:
+        delta = common_delta(row)
+        images = [delta] + [transform(delta, signed_permutation(rng)) for _ in range(3)]
+        for root in images:
+            level = [(root, root.lattice_points)]
+            for _ in range(2):
+                next_level = []
+                for state, points in level:
+                    yielded = {}
+                    for child, rest in _children(state, points):
+                        (v,) = set(points) - set(rest)
+                        yielded[v] = child
+                        next_level.append((child, rest))
+                    assert list(yielded) == [v for v in state.vertices if v in yielded]
+                    for v in state.vertices:
+                        rest = [q for q in points if q != v]
+                        if v in yielded:
+                            expected = hull(rest)
+                            assert expected.origin_interior
+                            assert polytope_fields(yielded[v]) == polytope_fields(expected)
+                            continue
+                        skipped_total += 1
+                        try:
+                            skipped = hull(rest)
+                        except DegeneratePointSet:
+                            continue
+                        assert not skipped.origin_interior
+                    yielded_total += len(yielded)
+                level = next_level
+    assert (yielded_total, skipped_total) == (432, 536)

@@ -7,7 +7,7 @@ used by the implementation.
 
 import itertools
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import ceil, comb, floor, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +22,6 @@ from k3corr.intlinalg import (
     is_unimodular,
     mat_mul,
     mat_vec,
-    primitive,
     transpose,
     vec_dot,
 )
@@ -53,6 +52,14 @@ def octahedron():
 
 def quartic_simplex():
     return hull([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)])
+
+
+def primitive(v):
+    """Divide an integer vector by the gcd of its entries (positive gcd)."""
+    g = gcd(*v)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(x // g for x in v)
 
 
 def brute_force_facets(points):
@@ -157,6 +164,30 @@ def test_hull_matches_brute_force(points):
     # each non-vertex input point is inside the hull of the vertices
     for q in others:
         assert p.contains_point(q)
+
+
+def polytope_fields(p):
+    return p.vertices, p.facets, p.facet_vertices, p.edges, p.edge_facets
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets)
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+def test_from_mesh_matches_hull(points):
+    """On a sorted, duplicate-free integer cloud, the builder run on the
+    triangle mesh gives hull's polytope, and the mesh's offsets are all
+    positive exactly when the origin is interior."""
+    cloud = sorted(set(points))
+    try:
+        mesh = polytope._triangle_hull(cloud)
+    except DegeneratePointSet:
+        with pytest.raises(DegeneratePointSet):
+            hull(points)
+        return
+    p = hull(points)
+    assert polytope_fields(polytope._from_mesh(cloud, 1, mesh)) == polytope_fields(p)
+    assert all(s > 0 for _, s in mesh.values()) == p.origin_interior
 
 
 rational_point_sets = st.lists(
