@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 all good, 1 a verification check failed, 2 usage or input
-format error, 3 internal error (a toolkit bug: one ``internal error:`` line
-on stderr, never a failed check).  ``--format kv`` switches reports to
-deterministic machine-readable key=value lines.
+Exit codes: 0 all good, 1 a verification check failed or another
+``K3CorrError``, 2 usage error or an ``InputError`` (malformed or unusable
+input), 3 internal error (any other exception is a toolkit bug: one
+``internal error:`` line on stderr, never a failed check).  Commands raise;
+only ``main`` turns an exception into an exit code.  ``--format kv``
+switches reports to deterministic machine-readable key=value lines.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import os
 import sys
 
 from . import correspondence, picard
-from .dataset import DatasetError, load_rows, select_rows
+from .dataset import load_rows, select_rows
+from .intlinalg import InputError, K3CorrError
 from .polytope import (
     OriginNotInterior,
     hull,
@@ -32,22 +35,11 @@ INTERNAL_ERROR = 3
 def _read_polytope(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            pts = parse_points_text(fh.read())
-        return hull(pts)
+            return hull(parse_points_text(fh.read()))
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    except ValueError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-
-
-def _rows_arg(path):
-    try:
-        return load_rows(path)
-    except (DatasetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (InputError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _newton_arg(text: str):
@@ -55,9 +47,8 @@ def _newton_arg(text: str):
     try:
         ws = weights_from_text(text)
         return ws, newton_polytope(ws)
-    except ValueError as exc:
-        print(f"error: {text}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+    except InputError as exc:
+        raise InputError(f"{text}: {exc}") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -87,7 +78,7 @@ def _kv_name(name: str) -> str:
 
 
 def cmd_verify_table(args) -> int:
-    rows = all_rows = _rows_arg(args.data)
+    rows = all_rows = load_rows(args.data)
     if args.row:
         rows = select_rows(all_rows, args.row)
         if not rows:
@@ -116,12 +107,7 @@ def cmd_newton(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    p = _read_polytope(args.file)
-    try:
-        d = polar_dual(p)
-    except OriginNotInterior as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+    d = polar_dual(_read_polytope(args.file))
     print(points_to_text(d.vertices, comment="polar dual vertices"), end="")
     return 0
 
@@ -130,7 +116,7 @@ def cmd_reflexive(args) -> int:
     p = _read_polytope(args.file)
     try:
         answer = is_reflexive(p)
-    except ValueError as exc:
+    except K3CorrError as exc:
         print(f"reflexive=false  # {exc}")
         return 0
     print(f"reflexive={'true' if answer else 'false'}")
@@ -148,11 +134,7 @@ def cmd_picard(args) -> int:
         _, p = _newton_arg(args.target)
     else:
         p = _read_polytope(args.target)
-    try:
-        bk = picard.picard_rank(p)
-    except picard.NotReflexive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+    bk = picard.picard_rank(p)
     print(f"rho={bk.rho} toric={bk.toric_part} correction={bk.correction}")
     if args.format != "kv":
         print(f"dual lattice points: {bk.dual_points}")
@@ -171,8 +153,7 @@ def cmd_search_sub(args) -> int:
     try:
         res = correspondence.search_sub_reflexive(p, args.max_results, args.max_depth)
     except OriginNotInterior as exc:
-        print(f"error: {args.weights}: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+        raise OriginNotInterior(f"{args.weights}: {exc}") from exc
     print(
         f"# {len(res.found)} reflexive subpolytopes of newton({ws}) "
         f"within depth {args.max_depth}"
@@ -186,7 +167,7 @@ def cmd_search_sub(args) -> int:
 
 
 def cmd_amoeba(args) -> int:
-    all_rows = _rows_arg(args.data)
+    all_rows = load_rows(args.data)
     rows = select_rows(all_rows, args.row)
     if len(rows) != 1:
         print(
@@ -203,11 +184,7 @@ def cmd_amoeba(args) -> int:
     except ValueError:
         print(f"row {row.key} has families {row.ids}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        u = correspondence.derive_iso(row, i, j)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+    u = correspondence.derive_iso(row, i, j)
     print(f"# amoeba map {args.src} -> {args.dst} (log coordinates)")
     for r in u:
         print(" ".join(str(x) for x in r))
@@ -271,8 +248,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except K3CorrError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR if isinstance(exc, InputError) else CHECK_FAILED
     except Exception as exc:  # a toolkit bug, kept apart from failed checks
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dataset import RowRecord
-from .intlinalg import InconsistentPairs, IntMat, NotUnimodular, RankDeficientSource
-from .intlinalg import fit_lattice_map, identity, is_unimodular, mat_mul
+from .intlinalg import InconsistentPairs, IntMat, K3CorrError, NotUnimodular, mat_mul
+from .intlinalg import RankDeficientSource, fit_lattice_map, identity, is_unimodular
 from .picard import picard_rank
 from .polytope import (
     DegeneratePointSet,
@@ -30,10 +30,6 @@ from .polytope import (
     unimodular_equivalent,
 )
 from .weights import newton_polytope
-
-
-class NotReflexiveDelta(ValueError):
-    """Raised when the common polytope of a row is not reflexive."""
 
 
 def _column_points(row: RowRecord, weight_idx: int):
@@ -81,7 +77,7 @@ def common_delta(row: RowRecord) -> Polytope3:
     """
     delta = hull(_column_points(row, 0))
     if not is_reflexive(delta):
-        raise NotReflexiveDelta(f"row {row.key}: common polytope is not reflexive")
+        raise K3CorrError(f"row {row.key}: common polytope is not reflexive")
     return delta
 
 
@@ -122,10 +118,10 @@ class _Checks:
         self.results.append(CheckResult(name, bool(passed), detail))
 
     def run(self, name: str, fn):
-        """Run fn; a ValueError, as every expected failure is, fails the check."""
+        """Run fn; a K3CorrError fails the check, anything else is a bug."""
         try:
             value = fn()
-        except ValueError as exc:
+        except K3CorrError as exc:
             self.results.append(CheckResult(name, False, str(exc)))
             return None
         self.results.append(CheckResult(name, True, ""))

@@ -13,10 +13,11 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
+from .intlinalg import InputError, K3CorrError
 from .weights import Monomial, WeightSystem, parse_monomial
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError):
     """Raised for a malformed row dataset file."""
 
 
@@ -69,7 +70,7 @@ def _record_from_dict(raw: dict) -> RowRecord:
             raise TypeError(f"lattice {lattice!r} is not a JSON string")
         rank = _ints([raw["rank"]])[0]
         bold = _ints(raw.get("bold", ()))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, TypeError, K3CorrError) as exc:
         raise DatasetError(f"bad row record {raw.get('ids', '?')}: {exc}") from exc
     n = len(weights)
     if n < 2:
@@ -96,17 +97,22 @@ def _record_from_dict(raw: dict) -> RowRecord:
 
 
 def load_rows(path: Optional[str] = None) -> tuple[RowRecord, ...]:
-    """Load row records from `path`, or the table shipped with the package."""
-    if path is None:
-        text = (
-            resources.files("k3corr").joinpath("data/table.json").read_text()
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    """Load row records from `path`, or the table shipped with the package.
+
+    A file that cannot be read, is not UTF-8 or is not JSON (nested past the
+    recursion limit, or an integer past the int-string digit limit, too) is
+    a DatasetError.
+    """
     try:
+        if path is None:
+            text = resources.files("k3corr").joinpath("data/table.json").read_text()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DatasetError(str(exc)) from exc
+    except (ValueError, RecursionError) as exc:
         raise DatasetError(f"dataset is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise DatasetError("dataset must be a JSON list of row records")

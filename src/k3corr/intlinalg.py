@@ -4,6 +4,8 @@ Everything here works over arbitrary-precision Python ints and
 ``fractions.Fraction``; there is no floating point anywhere.  Vectors are
 tuples of ints (or Fractions), matrices are tuples of row tuples.  The
 kernel basis of a weight quadruple is written down from modular inverses.
+The two base classes of every domain error live here, as every module
+imports this one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 
 
-class IllPosedWeights(ValueError):
+class K3CorrError(ValueError):
+    """Base of every domain error: the input fails a condition."""
+
+
+class InputError(K3CorrError):
+    """Base of the domain errors for malformed or unusable input."""
+
+
+class IllPosedWeights(InputError):
     """Raised for weight quadruples where some three weights share a factor."""
 
 
@@ -76,11 +86,11 @@ def mat_inv_rational(m: Sequence[Sequence]) -> tuple:
     return tuple(tuple(Fraction(x, d) for x in row) for row in adjugate(m))
 
 
-class RankDeficientSource(ValueError):
+class RankDeficientSource(K3CorrError):
     """Raised when no three source points are linearly independent."""
 
 
-class InconsistentPairs(ValueError):
+class InconsistentPairs(K3CorrError):
     """Raised when no single linear map fits every pair; `bad` lists them."""
 
     def __init__(self, message: str, bad: list[int]):
@@ -88,7 +98,7 @@ class InconsistentPairs(ValueError):
         self.bad = bad
 
 
-class NotUnimodular(ValueError):
+class NotUnimodular(K3CorrError):
     """Raised when the fitted map is not in GL(3, Z)."""
 
 

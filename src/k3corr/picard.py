@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from .intlinalg import K3CorrError
 from .polytope import Polytope3, is_reflexive, pick_counts
 
 
-class NotReflexive(ValueError):
+class NotReflexive(K3CorrError):
     """Raised when a Picard computation is attempted on a non-reflexive polytope."""
 
 
@@ -60,7 +61,7 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
     """Picard rank with its toric/correction split; p must be reflexive."""
     try:
         reflexive = is_reflexive(p)
-    except ValueError as exc:
+    except K3CorrError as exc:
         raise NotReflexive(str(exc)) from exc
     if not reflexive:
         raise NotReflexive("polytope is not reflexive")

@@ -29,6 +29,8 @@ from math import ceil, floor, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
+    InputError,
+    K3CorrError,
     NotUnimodular,
     cross,
     fit_lattice_map,
@@ -40,11 +42,11 @@ from .intlinalg import (
 Point = tuple  # 3-tuple of int | Fraction
 
 
-class DegeneratePointSet(ValueError):
+class DegeneratePointSet(InputError):
     """Raised when the input points do not affinely span R^3."""
 
 
-class OriginNotInterior(ValueError):
+class OriginNotInterior(K3CorrError):
     """Raised when an operation needs the origin strictly inside the polytope."""
 
 
@@ -212,7 +214,7 @@ class Polytope3:
     def face_counts(self) -> "FaceCounts":
         """Lattice points in each open edge and facet (see :func:`pick_counts`)."""
         if not self.is_lattice:
-            raise ValueError("face counts are defined for lattice polytopes")
+            raise K3CorrError("face counts are defined for lattice polytopes")
         normals = [n for n, _ in self.facets]
         return pick_counts(self.vertices, self.edges, self.edge_facets, normals)
 
@@ -382,7 +384,7 @@ def polar_dual(p: Polytope3) -> Polytope3:
 def is_reflexive(p: Polytope3) -> bool:
     """True iff all facets of the lattice polytope p support at distance 1."""
     if not p.is_lattice:
-        raise ValueError("reflexivity is defined for lattice polytopes")
+        raise K3CorrError("reflexivity is defined for lattice polytopes")
     if not p.origin_interior:
         raise OriginNotInterior("reflexivity needs the origin strictly inside")
     return all(c == 1 for _, c in p.facets)
@@ -437,11 +439,11 @@ def parse_points_text(text: str) -> list[tuple]:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 coordinates, got {raw!r}")
+            raise InputError(f"line {lineno}: expected 3 coordinates, got {raw!r}")
         try:
             pts.append(tuple(_exact(Fraction(tok)) for tok in parts))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {lineno}: bad coordinate in {raw!r}") from exc
+            raise InputError(f"line {lineno}: bad coordinate in {raw!r}") from exc
     return pts
 
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import intlinalg
-from .intlinalg import IntMat, IntVec, mat_vec, transpose
+from .intlinalg import InputError, IntMat, IntVec, K3CorrError, mat_vec, transpose
 from .polytope import Polytope3, hull
 
 VARIABLES = "WXYZ"
@@ -26,11 +26,11 @@ VARIABLES = "WXYZ"
 _TOKEN = re.compile(r"([WXYZ])(?:\^\{?(\d+)\}?)?")
 
 
-class MalformedMonomial(ValueError):
+class MalformedMonomial(InputError):
     """Raised for text that is not a monomial in W, X, Y, Z."""
 
 
-class WrongDegree(ValueError):
+class WrongDegree(K3CorrError):
     """Raised when a monomial does not have the anticanonical degree."""
 
     def __init__(self, monomial: "Monomial", got: int, want: int):
@@ -80,7 +80,10 @@ def parse_monomial(text: str) -> Monomial:
         var, exp = m.group(1), m.group(2)
         if var in exps:
             raise MalformedMonomial(f"variable {var} repeated in {text!r}")
-        k = 1 if exp is None else int(exp)
+        try:
+            k = 1 if exp is None else int(exp)
+        except ValueError as exc:  # past the int-string digit limit
+            raise MalformedMonomial(f"exponent of {var} is too long") from exc
         if k <= 0:
             raise MalformedMonomial(f"exponent of {var} must be positive in {text!r}")
         exps[var] = k
@@ -146,7 +149,7 @@ class WeightSystem:
         """Inverse of monomial_point, for points with all entries >= -1."""
         e_sorted = tuple(x + 1 for x in mat_vec(transpose(self.basis), coords))
         if any(x < 0 for x in e_sorted):
-            raise ValueError(f"{tuple(coords)} is outside the exponent cone")
+            raise K3CorrError(f"{tuple(coords)} is outside the exponent cone")
         return Monomial(tuple(e_sorted[self.perm.index(i)] for i in range(4)))
 
 
@@ -183,5 +186,5 @@ def weights_from_text(text: str) -> WeightSystem:
     try:
         parts = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"bad weight list {text!r}") from exc
+        raise InputError(f"bad weight list {text!r}") from exc
     return WeightSystem.from_weights(parts)

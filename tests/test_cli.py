@@ -197,7 +197,7 @@ DATA_COMMANDS = pytest.mark.parametrize(
 
 def assert_dataset_error(tmp_path, capsys, argv, text, message):
     bad = tmp_path / "rows.json"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run(capsys, *argv, "--data", str(bad))
     assert code == 2
     assert out == ""
@@ -297,6 +297,25 @@ QUARTIC_COLUMNS = [["W^4", "W^4"], ["X^4", "X^4"], ["Y^4", "Y^4"]]
 )
 @DATA_COMMANDS
 def test_dataset_rows_with_bad_fields(tmp_path, capsys, argv, text, message):
+    assert_dataset_error(tmp_path, capsys, argv, text, message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(b'[{"lattice": "\xff"}]', "can't decode byte 0xff", id="not-utf8"),
+        pytest.param("[" * 100_000, "dataset is not valid JSON", id="nested-too-deep"),
+        pytest.param("[" + "7" * 5000 + "]", "4300 digits", id="long-integer"),
+        pytest.param(
+            row_json([[1, 1, 1, 1]] * 2, [["W^" + "4" * 5000, "W^4"]] * 3),
+            "exponent of W is too long",
+            id="long-exponent",
+        ),
+    ],
+)
+@DATA_COMMANDS
+def test_dataset_files_past_a_decoder_limit(tmp_path, capsys, argv, text, message):
+    """Undecodable bytes and the JSON and int-string limits are input errors."""
     assert_dataset_error(tmp_path, capsys, argv, text, message)
 
 
@@ -420,6 +439,92 @@ def test_internal_error_is_not_a_failed_check(capsys, monkeypatch):
         "internal error: AssertionError: "
         "polar dual of a reflexive polytope is not reflexive\n"
     )
+
+
+CUBE = "\n".join(f"{x} {y} {z}" for x in (-1, 1) for y in (-1, 1) for z in (-1, 1))
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        pytest.param(
+            "correspondence",
+            "picard_rank",
+            ["verify-table", "--row", "13-72"],
+            id="verify_row-check",
+        ),
+        pytest.param("cli", "is_reflexive", ["reflexive", "CUBE"], id="reflexive"),
+        pytest.param("cli", "hull", ["points", "CUBE"], id="points"),
+        pytest.param("cli", "newton_polytope", ["newton", "1,1,1,1"], id="newton"),
+        pytest.param(
+            "correspondence",
+            "fit_lattice_map",
+            ["amoeba", "--row", "14", "--from", "14", "--to", "28"],
+            id="amoeba",
+        ),
+        pytest.param("cli", "polar_dual", ["dual", "CUBE"], id="dual"),
+    ],
+)
+def test_bare_value_error_is_an_internal_error(
+    tmp_path, capsys, monkeypatch, module, name, argv
+):
+    """Only a K3CorrError is a failed condition: a bare ValueError from any
+    command is a toolkit bug, exit 3, never a FAIL line or an answer."""
+    import importlib
+
+    def bug(*args, **kwargs):
+        raise ValueError("injected bug")
+
+    monkeypatch.setattr(importlib.import_module(f"k3corr.{module}"), name, bug)
+    cube = tmp_path / "cube.txt"
+    cube.write_text(CUBE)
+    argv = [str(cube) if arg == "CUBE" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == "internal error: ValueError: injected bug\n"
+    assert "FAIL" not in out and "reflexive=" not in out
+
+
+@pytest.mark.parametrize("command", ["points", "picard", "reflexive", "dual"])
+def test_point_file_that_is_not_utf8(tmp_path, capsys, command):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes("# caf\xe9\n".encode("latin-1") + CUBE.encode())
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {f}: ") and err.count("\n") == 1
+    assert "can't decode byte 0xe9" in err
+
+
+def test_every_exception_class_is_a_domain_error():
+    """Every exception class k3corr defines is a K3CorrError, and still a
+    ValueError; the InputErrors (exit 2) are exactly the input ones."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import k3corr
+    from k3corr.intlinalg import InputError, K3CorrError
+    from k3corr.polytope import DegeneratePointSet, OriginNotInterior
+
+    defined = {
+        obj
+        for info in pkgutil.iter_modules(k3corr.__path__)
+        for _, obj in inspect.getmembers(
+            importlib.import_module(f"k3corr.{info.name}"), inspect.isclass
+        )
+        if issubclass(obj, BaseException) and obj.__module__.startswith("k3corr.")
+    }
+    assert DegeneratePointSet in defined and OriginNotInterior in defined
+    assert all(issubclass(cls, K3CorrError) for cls in defined)
+    assert all(issubclass(cls, ValueError) for cls in defined)
+    assert {cls.__name__ for cls in defined if issubclass(cls, InputError)} == {
+        "InputError",
+        "IllPosedWeights",
+        "MalformedMonomial",
+        "DatasetError",
+        "DegeneratePointSet",
+    }
 
 
 def test_amoeba_missing_dataset(tmp_path, capsys):
