@@ -12,8 +12,8 @@ vertex-deletion search for reflexive subpolytopes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dataset import RowRecord
 from .intlinalg import InconsistentPairs, IntMat, K3CorrError, NotUnimodular, mat_mul
@@ -62,7 +62,7 @@ def derive_iso(row: RowRecord, from_idx: int, to_idx: int) -> IntMat:
         raise type(exc)(f"row {row.key}: {exc}") from exc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def common_delta(row: RowRecord) -> Polytope3:
     """Hull of the column points in the first weight's coordinates, checked
     to be reflexive.
@@ -84,15 +84,13 @@ def common_delta(row: RowRecord) -> Polytope3:
 # -- verification reports -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     key: str
     checks: tuple[CheckResult, ...]
 
@@ -247,8 +245,7 @@ def verify_swaps(row: RowRecord) -> VerificationReport:
 # -- reflexive subpolytope search ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubReflexiveSearch:
+class SubReflexiveSearch(NamedTuple):
     found: tuple[Polytope3, ...]
     exhausted: bool  # True when limits cut the walk short
     explored: int = 0

@@ -3,15 +3,16 @@
 One record per printed row-set: the weight systems side by side, one
 monomial per weight in each vertex column, the shared lattice label and
 Picard rank, and (when the common polytope is symmetric) the indices of the
-columns whose monomials may be exchanged.
+columns whose monomials may be exchanged.  A record is a NamedTuple.  The
+shipped table is read from data/table.json beside this module, with the
+same open() as a --data file, so loading it imports no importlib.resources.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from importlib import resources
-from typing import Optional
+import os
+from typing import NamedTuple, Optional
 
 from .intlinalg import InputError, K3CorrError
 from .weights import Monomial, WeightSystem, parse_monomial
@@ -21,8 +22,7 @@ class DatasetError(InputError):
     """Raised for a malformed row dataset file."""
 
 
-@dataclass(frozen=True)
-class RowRecord:
+class RowRecord(NamedTuple):
     ids: tuple[int, ...]
     weights: tuple[WeightSystem, ...]
     degrees: tuple[int, ...]
@@ -44,7 +44,7 @@ class RowRecord:
         return tuple(col[weight_idx] for col in self.columns)
 
     def with_columns(self, columns) -> "RowRecord":
-        return replace(self, columns=tuple(tuple(col) for col in columns))
+        return self._replace(columns=tuple(tuple(col) for col in columns))
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -97,19 +97,17 @@ def _record_from_dict(raw: dict) -> RowRecord:
 
 
 def load_rows(path: Optional[str] = None) -> tuple[RowRecord, ...]:
-    """Load row records from `path`, or the table shipped with the package.
+    """Load row records from `path`, or the table shipped beside this module.
 
     A file that cannot be read, is not UTF-8 or is not JSON (nested past the
     recursion limit, or an integer past the int-string digit limit, too) is
     a DatasetError.
     """
+    if path is None:
+        path = os.path.join(os.path.dirname(__file__), "data", "table.json")
     try:
-        if path is None:
-            text = resources.files("k3corr").joinpath("data/table.json").read_text()
-        else:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        raw = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
     except OSError as exc:
         raise DatasetError(str(exc)) from exc
     except (ValueError, RecursionError) as exc:

@@ -16,9 +16,9 @@ visible from the ambient toric resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .intlinalg import K3CorrError
 from .polytope import Polytope3, is_reflexive, pick_counts
@@ -28,8 +28,7 @@ class NotReflexive(K3CorrError):
     """Raised when a Picard computation is attempted on a non-reflexive polytope."""
 
 
-@dataclass(frozen=True)
-class EdgePair:
+class EdgePair(NamedTuple):
     """One dual pair of edges with its lattice point counts."""
 
     dual_edge: tuple[int, int]  # vertex indices in p*
@@ -42,8 +41,7 @@ class EdgePair:
         return self.interior_dual * self.interior
 
 
-@dataclass(frozen=True)
-class PicardBreakdown:
+class _PicardFields(NamedTuple):
     rho: int
     toric_part: int
     correction: int
@@ -51,12 +49,18 @@ class PicardBreakdown:
     dual_facet_interior: tuple[int, ...]  # l*(F*) per facet of p*
     edge_pairs: tuple[EdgePair, ...]
 
-    def __post_init__(self):
+
+class PicardBreakdown(_PicardFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rho != self.toric_part + self.correction:
             raise AssertionError("rho is not toric part plus correction")
+        return self
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def picard_rank(p: Polytope3) -> PicardBreakdown:
     """Picard rank with its toric/correction split; p must be reflexive."""
     try:

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .intlinalg import (
     InputError,
@@ -253,8 +252,7 @@ class Polytope3:
         return tuple(sorted(self.vertex_signatures)), counts
 
 
-@dataclass(frozen=True)
-class FaceCounts:
+class FaceCounts(NamedTuple):
     """Lattice points on the boundary, split by the open face they sit on."""
 
     boundary: int

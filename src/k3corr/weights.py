@@ -13,9 +13,8 @@ the weight tetrahedron's points are enumerated in coordinates directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import intlinalg
 from .intlinalg import InputError, IntMat, IntVec, K3CorrError, mat_vec, transpose
@@ -39,15 +38,19 @@ class WrongDegree(K3CorrError):
         self.want = want
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector of a monomial in the homogeneous coordinates W,X,Y,Z."""
-
+class _MonomialFields(NamedTuple):
     e: tuple[int, int, int, int]
 
-    def __post_init__(self):
-        if len(self.e) != 4 or any(x < 0 for x in self.e):
-            raise MalformedMonomial(f"bad exponent vector {self.e}")
+
+class Monomial(_MonomialFields):
+    """Exponent vector of a monomial in the homogeneous coordinates W,X,Y,Z."""
+
+    __slots__ = ()
+
+    def __new__(cls, e):
+        if len(e) != 4 or any(x < 0 for x in e):
+            raise MalformedMonomial(f"bad exponent vector {e}")
+        return super().__new__(cls, e)
 
     def __str__(self):
         if not any(self.e):
@@ -91,16 +94,22 @@ def parse_monomial(text: str) -> Monomial:
     return Monomial(tuple(exps.get(v, 0) for v in VARIABLES))
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class _WeightFields(NamedTuple):
+    a: tuple[int, int, int, int]
+    perm: tuple[int, int, int, int]
+
+
+class WeightSystem(_WeightFields):
     """Well-posed quadruple of positive weights, ascending; d and basis follow.
 
     `perm` records where each sorted weight came from in the input order, so
     monomials written in the caller's W,X,Y,Z convention stay meaningful.
+    Equality and hashing see (a, perm) only; d and basis are cached in the
+    instance dict, which cached_property writes without __setattr__.
     """
 
-    a: tuple[int, int, int, int]
-    perm: tuple[int, int, int, int]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a WeightSystem")
 
     @classmethod
     def from_weights(cls, weights: Sequence[int]) -> "WeightSystem":
@@ -175,7 +184,7 @@ def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
     return tuple(points)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def newton_polytope(ws: WeightSystem) -> Polytope3:
     """Convex hull of all lattice points of the weight tetrahedron."""
     return hull(anticanonical_points(ws))

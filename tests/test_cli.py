@@ -120,6 +120,28 @@ def test_verify_table_kv_matches_golden_without_site_packages():
     assert proc.stdout == (root / "perfbench" / "golden" / "table.kv").read_bytes()
 
 
+def test_cold_start_loads_no_heavy_stdlib_modules():
+    """Importing the package and its CLI and loading the shipped table pull
+    in neither dataclasses (with inspect, ast, dis and tokenize) nor
+    importlib.resources (with zipfile and tempfile)."""
+    import subprocess
+    import sys
+
+    heavy = ["dataclasses", "inspect", "importlib.resources", "zipfile", "tempfile"]
+    src = str(Path(__file__).parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import k3corr, k3corr.cli; k3corr.load_rows(); "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verify_table_corrupted_dataset(tmp_path, capsys):
     rows = json.loads(TABLE_JSON.read_text(encoding="utf-8"))
     rows[0]["columns"][0][0] = "Z^3"  # wrong degree for (1,3,8,12)

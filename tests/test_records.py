@@ -1,0 +1,85 @@
+"""Record types: immutable, compared by value, checked where they check, and
+the caches that hold them bounded."""
+
+import pytest
+
+from k3corr import (
+    FaceCounts,
+    Monomial,
+    PicardBreakdown,
+    RowRecord,
+    VerificationReport,
+    WeightSystem,
+    common_delta,
+    newton_polytope,
+    picard_rank,
+)
+from k3corr.correspondence import CheckResult, SubReflexiveSearch
+from k3corr.picard import EdgePair
+from k3corr.weights import MalformedMonomial
+
+
+def _row():
+    ws = WeightSystem.from_weights([1, 1, 1, 1])
+    col = (Monomial((4, 0, 0, 0)), Monomial((4, 0, 0, 0)))
+    return RowRecord(
+        ids=(1, 1), weights=(ws, ws), degrees=(4, 4), columns=(col,),
+        lattice_label="T", rank=1,
+    )
+
+
+RECORDS = {
+    "CheckResult": lambda: CheckResult("monomial-degrees", True),
+    "VerificationReport": lambda: VerificationReport(
+        "1-1", (CheckResult("rank", False, "computed 2"),)
+    ),
+    "SubReflexiveSearch": lambda: SubReflexiveSearch((), False, 3),
+    "RowRecord": _row,
+    "EdgePair": lambda: EdgePair((0, 1), (2, 3), 1, 2),
+    "PicardBreakdown": lambda: PicardBreakdown(
+        3, 1, 2, 9, (0, 1), (EdgePair((0, 1), (2, 3), 1, 2),)
+    ),
+    "FaceCounts": lambda: FaceCounts(8, (1, 0, 0, 0), (0,) * 6),
+    "Monomial": lambda: Monomial((1, 2, 0, 1)),
+    "WeightSystem": lambda: WeightSystem.from_weights([3, 1, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_record_is_immutable_and_compared_by_value(make):
+    rec, twin = make(), make()
+    assert rec is not twin
+    assert rec == twin and hash(rec) == hash(twin)
+    for name in type(rec)._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    assert rec == twin
+
+
+def test_weight_system_cache_is_not_assignable():
+    ws = WeightSystem.from_weights([3, 1, 2, 2])
+    assert ws.d == 8
+    with pytest.raises(AttributeError):
+        ws.d = 9
+    assert ws.d == 8 and ws == WeightSystem.from_weights([3, 1, 2, 2])
+
+
+def test_monomial_rejects_a_bad_exponent_vector():
+    with pytest.raises(MalformedMonomial):
+        Monomial((-1, 0, 0, 0))
+    with pytest.raises(MalformedMonomial):
+        Monomial((1, 0, 0))
+
+
+def test_picard_breakdown_checks_its_split():
+    with pytest.raises(AssertionError, match="toric part plus correction"):
+        PicardBreakdown(4, 1, 2, 9, (0, 1), ())
+
+
+@pytest.mark.parametrize("cached", [picard_rank, newton_polytope, common_delta])
+def test_caches_are_bounded(cached):
+    """Bounded, and above the 235 Newton polytopes of a sweep over the
+    well-posed weight systems with d <= 20 (and its 90 Picard ranks), so no
+    sweep evicts."""
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 1024
