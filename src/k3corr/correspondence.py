@@ -6,7 +6,8 @@ then insist every remaining column is matched exactly.  On top of that sit
 the common polytope of a row (the hull of one weight's column points, whose
 containment in every Newton polytope the exact fits already prove), the
 full verification report, the bold-column exchange checks, and the
-vertex-deletion search for reflexive subpolytopes.
+vertex-deletion search for reflexive subpolytopes.  A row's swaps share the
+cached column points of each weight and the cached hull of weight 0's points.
 """
 
 from __future__ import annotations
@@ -29,12 +30,23 @@ from .polytope import (
     is_reflexive,
     unimodular_equivalent,
 )
-from .weights import newton_polytope
+from .weights import WeightSystem, newton_polytope
 
 
-def _column_points(row: RowRecord, weight_idx: int):
-    ws = row.weights[weight_idx]
-    return [ws.monomial_point(m) for m in row.column_monomials(weight_idx)]
+def _column_points(row: RowRecord, weight_idx: int) -> tuple:
+    return _monomial_points(row.weights[weight_idx], row.column_monomials(weight_idx))
+
+
+@lru_cache(maxsize=1024)
+def _monomial_points(ws: WeightSystem, monomials: tuple) -> tuple:
+    """The points of one weight's column, shared by every row that has it."""
+    return tuple(ws.monomial_point(m) for m in monomials)
+
+
+@lru_cache(maxsize=1024)
+def _point_set_hull(points: frozenset) -> Polytope3:
+    """The hull of a point set, shared by the rows that permute it."""
+    return hull(points)
 
 
 def derive_iso(row: RowRecord, from_idx: int, to_idx: int) -> IntMat:
@@ -75,7 +87,7 @@ def common_delta(row: RowRecord) -> Polytope3:
     anticanonical point of weight k; and the Newton polytope is the hull of
     all of those.
     """
-    delta = hull(_column_points(row, 0))
+    delta = _point_set_hull(frozenset(_column_points(row, 0)))
     if not is_reflexive(delta):
         raise K3CorrError(f"row {row.key}: common polytope is not reflexive")
     return delta

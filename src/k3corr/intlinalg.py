@@ -125,10 +125,13 @@ def fit_lattice_map(src: Sequence[Sequence], tgt: Sequence[Sequence]) -> IntMat:
     s = transpose(tuple(src[i] for i in trip))
     d = det(s)
     scaled = mat_mul(transpose(tuple(tgt[i] for i in trip)), adjugate(s))
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = scaled
     bad = [
         j
-        for j, (p, t) in enumerate(zip(src, tgt, strict=True))
-        if mat_vec(scaled, p) != tuple(d * x for x in t)
+        for j, ((x, y, z), (tx, ty, tz)) in enumerate(zip(src, tgt, strict=True))
+        if a0 * x + a1 * y + a2 * z != d * tx
+        or b0 * x + b1 * y + b2 * z != d * ty
+        or c0 * x + c1 * y + c2 * z != d * tz
     ]
     if bad:
         raise InconsistentPairs(f"no linear map fits pairs {bad}", bad)

@@ -273,14 +273,18 @@ def pick_counts(points, edges, edge_faces, normals) -> FaceCounts:
     steps = [gcd(*_sub(points[j], points[i])) for i, j in edges]
     rim, area2, anchor = [0] * len(normals), [0] * len(normals), {}
     for (i, j), g, faces in zip(edges, steps, edge_faces):
+        p, q = points[i], points[j]
         for f in faces:
             rim[f] += g
-            v0 = anchor.setdefault(f, points[i])
-            fan = cross(_sub(points[i], v0), _sub(points[j], v0))
-            area2[f] += abs(vec_dot(fan, normals[f]))
+            v0 = anchor.setdefault(f, p)
+            ux, uy, uz = p[0] - v0[0], p[1] - v0[1], p[2] - v0[2]
+            vx, vy, vz = q[0] - v0[0], q[1] - v0[1], q[2] - v0[2]
+            cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            nx, ny, nz = normals[f]
+            area2[f] += abs(nx * cx + ny * cy + nz * cz)
     per_facet = []
-    for n, a, b in zip(normals, area2, rim):
-        twice_area, inexact = divmod(a, vec_dot(n, n))
+    for (nx, ny, nz), a, b in zip(normals, area2, rim):
+        twice_area, inexact = divmod(a, nx * nx + ny * ny + nz * nz)
         if inexact or (twice_area - b) % 2 or twice_area - b + 2 < 0:
             raise AssertionError("Pick's theorem gives no count for a facet")
         per_facet.append((twice_area - b + 2) // 2)

@@ -104,8 +104,8 @@ class WeightSystem(_WeightFields):
 
     `perm` records where each sorted weight came from in the input order, so
     monomials written in the caller's W,X,Y,Z convention stay meaningful.
-    Equality and hashing see (a, perm) only; d and basis are cached in the
-    instance dict, which cached_property writes without __setattr__.
+    Equality and hashing see (a, perm) only; d, basis and input_weights are
+    cached in the instance dict (cached_property writes it, not __setattr__).
     """
 
     def __setattr__(self, name, value):
@@ -128,7 +128,7 @@ class WeightSystem(_WeightFields):
     def __str__(self):
         return ",".join(str(w) for w in self.input_weights)
 
-    @property
+    @cached_property
     def input_weights(self) -> tuple[int, int, int, int]:
         return tuple(self.a[self.perm.index(i)] for i in range(4))
 

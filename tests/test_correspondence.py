@@ -169,10 +169,42 @@ def test_common_delta_needs_no_iso_and_no_newton(rows, monkeypatch):
         raise AssertionError("common_delta must not call this")
 
     common_delta.cache_clear()
+    correspondence._point_set_hull.cache_clear()
     monkeypatch.setattr(correspondence, "derive_iso", forbidden)
     monkeypatch.setattr(correspondence, "newton_polytope", forbidden)
     assert [common_delta(row).vertices for row in rows] == expected
     assert len(expected) == 16
+
+
+def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
+    """From cold caches, one verify_row and verify_swaps pass over the table
+    hulls 50 point sets: the 34 distinct weight systems' Newton polytopes
+    and the 16 rows' common polytopes, which every swapped row shares (a
+    swap only permutes one weight's column, so weight 0's point set stays)."""
+    from k3corr import weights
+
+    for cached in (
+        common_delta,
+        newton_polytope,
+        picard_rank,
+        correspondence._monomial_points,
+        correspondence._point_set_hull,
+    ):
+        cached.cache_clear()
+    calls = Counter()
+    for module in (correspondence, weights):
+        def counting(points, module=module, real=module.hull):
+            calls[module.__name__] += 1
+            return real(points)
+
+        monkeypatch.setattr(module, "hull", counting)
+    for row in rows:
+        verify_row(row)
+        verify_swaps(row)
+    assert calls == {"k3corr.weights": 34, "k3corr.correspondence": 16}
+    for row in rows:
+        for _, _, swapped in _swaps(row):
+            assert common_delta(swapped).vertices == common_delta(row).vertices
 
 
 def test_figure2_containment(rows_by_key):

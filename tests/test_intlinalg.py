@@ -292,6 +292,58 @@ def test_fit_lattice_map_reports_inconsistent_pairs(u, points, data):
     assert exc.value.bad == [k]
 
 
+def reference_fit_lattice_map(src, tgt):
+    """fit_lattice_map with its pair check through mat_vec: the oracle for
+    the written-out products."""
+    trip = independent_triple(src)
+    s = transpose(tuple(src[i] for i in trip))
+    d = det(s)
+    scaled = mat_mul(transpose(tuple(tgt[i] for i in trip)), adjugate(s))
+    bad = [
+        j
+        for j, (p, t) in enumerate(zip(src, tgt, strict=True))
+        if mat_vec(scaled, p) != tuple(d * x for x in t)
+    ]
+    if bad:
+        raise InconsistentPairs(f"no linear map fits pairs {bad}", bad)
+    if any(x % d for row in scaled for x in row):
+        raise NotIntegral("map is not integral")
+    u = tuple(tuple(x // d for x in row) for row in scaled)
+    if not is_unimodular(u):
+        raise NotUnimodular(f"determinant is {det(u)}")
+    return u
+
+
+def _fit_outcome(fit, src, tgt):
+    try:
+        return fit(src, tgt)
+    except Exception as exc:  # noqa: BLE001 - the class and .bad are compared
+        return type(exc), getattr(exc, "bad", None)
+
+
+points3 = st.lists(st.tuples(small_ints, small_ints, small_ints), min_size=3, max_size=8)
+
+
+@st.composite
+def fit_inputs(draw):
+    """Sources, spanning or not, and the image of them under a GL(3, Z) or
+    any integer matrix, with a few target entries nudged."""
+    src = draw(st.one_of(spanning_points(), points3))
+    tgt = _image(draw(st.one_of(gl3z(), mat_strategy(3, 3))), src)
+    for k in draw(st.lists(st.integers(0, len(src) - 1), max_size=3)):
+        i, c = draw(st.integers(0, 2)), draw(st.integers(-2, 2))
+        tgt[k] = tgt[k][:i] + (tgt[k][i] + c,) + tgt[k][i + 1 :]
+    return src, tgt
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_inputs())
+def test_fit_lattice_map_matches_mat_vec_reference(pair):
+    src, tgt = pair
+    got = _fit_outcome(fit_lattice_map, src, tgt)
+    assert got == _fit_outcome(reference_fit_lattice_map, src, tgt)
+
+
 def test_fit_lattice_map_rank_deficient():
     plane = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0)]
     with pytest.raises(RankDeficientSource):

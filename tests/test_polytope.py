@@ -16,6 +16,7 @@ from k3corr import polytope
 from k3corr.intlinalg import (
     IllPosedWeights,
     adjugate,
+    cross,
     det,
     identity,
     independent_triple,
@@ -633,6 +634,72 @@ def test_face_counts_match_brute_force_on_random_hulls(points):
     except DegeneratePointSet:
         return
     assert_face_counts_match(p)
+
+
+def reference_pick_counts(points, edges, edge_faces, normals) -> FaceCounts:
+    """pick_counts through vec_dot and cross: the oracle for its written-out
+    fan product and n.n."""
+    steps = [gcd(*(b - a for a, b in zip(points[i], points[j]))) for i, j in edges]
+    rim, area2, anchor = [0] * len(normals), [0] * len(normals), {}
+    for (i, j), g, faces in zip(edges, steps, edge_faces):
+        for f in faces:
+            rim[f] += g
+            v0 = anchor.setdefault(f, points[i])
+            fan = cross(
+                tuple(a - b for a, b in zip(points[i], v0)),
+                tuple(a - b for a, b in zip(points[j], v0)),
+            )
+            area2[f] += abs(vec_dot(fan, normals[f]))
+    per_facet = []
+    for n, a, b in zip(normals, area2, rim):
+        twice_area, inexact = divmod(a, vec_dot(n, n))
+        if inexact or (twice_area - b) % 2 or twice_area - b + 2 < 0:
+            raise AssertionError("Pick's theorem gives no count for a facet")
+        per_facet.append((twice_area - b + 2) // 2)
+    per_edge = tuple(g - 1 for g in steps)
+    boundary = len(points) + sum(per_edge) + sum(per_facet)
+    return FaceCounts(boundary, tuple(per_facet), per_edge)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+
+
+def assert_pick_counts_match_reference(p):
+    """Both reads of p: its own faces, and the transposed one picard_rank
+    makes for the polar dual (facet normals as vertices, vertices as normals)."""
+    normals = [n for n, _ in p.facets]
+    for args in (
+        (p.vertices, p.edges, p.edge_facets, normals),
+        (normals, p.edge_facets, p.edges, p.vertices),
+    ):
+        got = _outcome(polytope.pick_counts, *args)
+        assert got == _outcome(reference_pick_counts, *args)
+
+
+def test_pick_counts_match_reference_on_newton_polytopes():
+    systems = list(well_posed_systems(20))
+    assert len(systems) == 235
+    for ws in systems:
+        try:
+            p = newton_polytope(ws)
+        except DegeneratePointSet:
+            continue
+        assert_pick_counts_match_reference(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(point_sets, dense_point_sets))
+@example([(0, 0, 0), (4, 0, 0), (0, 3, 0), (1, 1, 4)])  # origin is a vertex
+def test_pick_counts_match_reference_on_random_hulls(points):
+    try:
+        p = hull(points)
+    except DegeneratePointSet:
+        return
+    assert_pick_counts_match_reference(p)
 
 
 def _random_unimodular(rnd, shears=4):

@@ -14,6 +14,7 @@ from k3corr import (
     newton_polytope,
     picard_rank,
 )
+from k3corr import correspondence
 from k3corr.correspondence import CheckResult, SubReflexiveSearch
 from k3corr.picard import EdgePair
 from k3corr.weights import MalformedMonomial
@@ -76,10 +77,20 @@ def test_picard_breakdown_checks_its_split():
         PicardBreakdown(4, 1, 2, 9, (0, 1), ())
 
 
-@pytest.mark.parametrize("cached", [picard_rank, newton_polytope, common_delta])
+@pytest.mark.parametrize(
+    "cached",
+    [
+        picard_rank,
+        newton_polytope,
+        common_delta,
+        correspondence._monomial_points,
+        correspondence._point_set_hull,
+    ],
+)
 def test_caches_are_bounded(cached):
     """Bounded, and above the 235 Newton polytopes of a sweep over the
     well-posed weight systems with d <= 20 (and its 90 Picard ranks), so no
-    sweep evicts."""
+    sweep evicts, and above the table's column point sets and common
+    polytopes."""
     maxsize = cached.cache_info().maxsize
     assert maxsize is not None and maxsize >= 1024
