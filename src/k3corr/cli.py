@@ -156,7 +156,7 @@ def cmd_search_sub(args) -> int:
         raise OriginNotInterior(f"{args.weights}: {exc}") from exc
     print(
         f"# {len(res.found)} reflexive subpolytopes of newton({ws}) "
-        f"within depth {args.max_depth}"
+        f"within depth {args.max_depth}, {res.explored} states explored"
         f"{' (limits exhausted)' if res.exhausted else ''}"
     )
     for i, q in enumerate(res.found):

@@ -14,8 +14,10 @@ inward inequalities <n, x> >= -c, the full facet/vertex incidence, and edges
 with the two facets meeting in each.  Per-face lattice point counts follow
 in closed form from that incidence (gcd and Pick); read both ways, it gives
 the polar dual's counts with no dual hull.  The lattice-point list is a cached
-column scan.  A GL(3, Z)-invariant key buckets polytopes before the exact
-equivalence test, which fits only vertex triples whose invariants match.
+column scan.  The columns of the vertex-facet pairing matrix <n, v> + c, each
+sorted, are the GL(3, Z)-invariant vertex signatures; sorted, they are the key
+that buckets polytopes before the exact equivalence test, which fits only
+vertex triples whose signatures match.
 """
 
 from __future__ import annotations
@@ -221,35 +223,22 @@ class Polytope3:
 
     @cached_property
     def vertex_signatures(self) -> tuple[tuple[tuple, ...], ...]:
-        """Per vertex, the sorted (offset c, vertex count) of its facets.
-
-        A lattice map x -> U.x keeps each facet's offset and vertex count
-        (its normal becomes U^-T n, still primitive), so it sends every
-        vertex to one with the same signature.
-        """
-        through = [[] for _ in self.vertices]
-        for (_, c), fv in zip(self.facets, self.facet_vertices):
-            for i in fv:
-                through[i].append((c, len(fv)))
-        return tuple(tuple(sorted(sig)) for sig in through)
+        """Per vertex, its pairing-matrix column: the sorted (c, <n, v> + c)
+        over all facets (n, c).  A lattice map x -> U.x sends facet (n, c) to
+        (U^-T n, c), still primitive, and keeps every <n, v>, so it sends each
+        vertex to one with the same signature, for rational polytopes too."""
+        facets = self.facets
+        return tuple(
+            tuple(sorted((c, nx * x + ny * y + nz * z + c) for (nx, ny, nz), c in facets))
+            for x, y, z in self.vertices
+        )
 
     @cached_property
     def gl3z_key(self) -> tuple:
-        """Invariants shared by all GL(3, Z) images of the polytope.
-
-        The sorted vertex signatures and, for a lattice polytope, its
-        boundary point count with the sorted per-facet and per-edge interior
-        counts.  The signatures also fix V, E and F and the facet kinds: a
-        facet (c, k) shows up in exactly k signatures, and E = V + F - 2.
-        Different keys rule equivalence out; equal keys decide nothing.
-        """
-        counts = None
-        if self.is_lattice:
-            fc = self.face_counts
-            counts = (
-                fc.boundary, tuple(sorted(fc.per_facet)), tuple(sorted(fc.per_edge))
-            )
-        return tuple(sorted(self.vertex_signatures)), counts
+        """The pairing matrix's columns, each sorted, in sorted order: the
+        same for all GL(3, Z) images of the polytope.  Different keys rule
+        equivalence out; equal keys decide nothing."""
+        return tuple(sorted(self.vertex_signatures))
 
 
 class FaceCounts(NamedTuple):

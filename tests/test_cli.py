@@ -438,6 +438,22 @@ def test_search_sub_command(capsys):
     assert "rho=14" in out
 
 
+def test_search_sub_header_counts_explored_states(capsys):
+    from k3corr.correspondence import search_sub_reflexive
+    from k3corr.weights import WeightSystem, newton_polytope
+
+    code, out, _ = run(capsys, "search-sub", "2,4,5,9", "--max-depth", "2")
+    res = search_sub_reflexive(
+        newton_polytope(WeightSystem.from_weights([2, 4, 5, 9])), max_depth=2
+    )
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "# 2 reflexive subpolytopes of newton(2,4,5,9) within depth 2, "
+        f"{res.explored} states explored (limits exhausted)"
+    )
+    assert res.explored == 2
+
+
 def test_search_sub_root_without_interior_origin(capsys):
     # no vertex deletion can put the origin back inside N(3,5,7,11)
     code, out, err = run(capsys, "search-sub", "3,5,7,11")

@@ -7,7 +7,7 @@ from collections import Counter, deque
 
 import pytest
 
-from k3corr import correspondence
+from k3corr import correspondence, polytope
 from k3corr.correspondence import (
     _children,
     _swaps,
@@ -39,6 +39,7 @@ from k3corr.polytope import (
 from k3corr.weights import Monomial, WeightSystem, newton_polytope, parse_monomial
 from test_polytope import (
     assert_maps_onto,
+    brute_force_automorphisms,
     brute_force_equivalent,
     contains,
     polytope_fields,
@@ -174,6 +175,30 @@ def test_common_delta_needs_no_iso_and_no_newton(rows, monkeypatch):
     monkeypatch.setattr(correspondence, "newton_polytope", forbidden)
     assert [common_delta(row).vertices for row in rows] == expected
     assert len(expected) == 16
+
+
+def test_bold_columns_are_those_the_automorphisms_move(rows):
+    """Weight 0's column points are the vertices of delta, so each lattice
+    automorphism of delta permutes the columns; the bold columns are exactly
+    the ones some automorphism moves, and the automorphisms induce every
+    permutation of them."""
+    orders = {}
+    for row in rows:
+        delta = common_delta(row)
+        points = [row.weights[0].monomial_point(col[0]) for col in row.columns]
+        assert sorted(points) == list(delta.vertices)
+        auts = brute_force_automorphisms(delta)
+        perms = {tuple(points.index(mat_vec(u, v)) for v in points) for u in auts}
+        moved = {j for perm in perms for j, image in enumerate(perm) if image != j}
+        assert moved == set(row.bold)
+        assert perms == {
+            tuple(dict(zip(row.bold, images)).get(j, j) for j in range(len(points)))
+            for images in itertools.permutations(row.bold)
+        }
+        orders[row.key] = len(auts)
+    assert {key: n for key, n in orders.items() if n > 1} == {
+        "16-54": 2, "30-86": 2, "46-65-80": 2, "56-73": 6
+    }
 
 
 def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
@@ -366,55 +391,38 @@ def search_children(rows):
 
 
 def test_equivalence_matches_brute_force_on_search_children(rows):
-    """Every pair of the search children."""
+    """Every pair of the search children; on them, two children share the
+    pairing-matrix key exactly when a map exists."""
     children = search_children(rows)
     assert len(children) == 83
     hits = 0
     for p, q in itertools.combinations_with_replacement(children, 2):
         u = unimodular_equivalent(p, q)
         assert u == brute_force_equivalent(p, q)
+        assert (p.gl3z_key == q.gl3z_key) == (u is not None)
         if u is not None:
             assert_maps_onto(u, p, q)
             hits += p is not q
     assert hits == 8
 
 
-def old_key(p):
-    """The invariant key with V, E, F and the facet (size, offset) multiset
-    spelled out beside the vertex signatures and the face counts."""
-    counts = None
-    if p.is_lattice:
-        fc = p.face_counts
-        counts = (fc.boundary, tuple(sorted(fc.per_facet)), tuple(sorted(fc.per_edge)))
-    facet_kinds = sorted(
-        (len(fv), c) for (_, c), fv in zip(p.facets, p.facet_vertices)
-    )
-    return (
-        (p.n_vertices, p.n_edges, p.n_facets),
-        tuple(facet_kinds),
-        tuple(sorted(p.vertex_signatures)),
-        counts,
-    )
+def test_search_computes_no_face_counts(rows, monkeypatch):
+    """The search keys its states by the pairing matrix alone, so no state
+    has its face counts computed; a fresh signed-permutation image of each
+    table polytope has none cached."""
 
+    def refuse(*args):
+        raise AssertionError("the search computed face counts")
 
-def test_gl3z_key_partitions_search_children_like_old_key(rows):
-    """Dropping V, E, F and the facet kinds from the key splits no bucket
-    and merges none: the vertex signatures already fix them."""
-    children = search_children(rows)
-    pairs = list(itertools.combinations_with_replacement(children, 2))
-    assert len(pairs) == 3486
-    shared = 0
-    for p, q in pairs:
-        assert (p.gl3z_key == q.gl3z_key) == (old_key(p) == old_key(q))
-        shared += p is not q and p.gl3z_key == q.gl3z_key
-    assert shared == 9  # the 8 equivalent pairs and one that is not
-    for p in children:
-        entries = Counter(e for sig in p.vertex_signatures for e in sig)
-        kinds = Counter({(k, c): m // k for (c, k), m in entries.items()})
-        assert sorted(kinds.elements()) == list(old_key(p)[1])
-        n_facets = sum(kinds.values())
-        edges = p.n_vertices + n_facets - 2
-        assert (p.n_vertices, edges, n_facets) == old_key(p)[0]
+    monkeypatch.setattr(polytope, "pick_counts", refuse)
+    rnd = random.Random(19)
+    for row in rows:
+        signs = [rnd.choice((-1, 1)) for _ in range(3)]
+        cols = rnd.sample(range(3), 3)
+        u = tuple(tuple(signs[i] * (j == cols[i]) for j in range(3)) for i in range(3))
+        image = search_sub_reflexive(transform(common_delta(row), u), max_depth=2)
+        res = search_sub_reflexive(common_delta(row), max_depth=2)
+        assert (len(image.found), image.explored) == (len(res.found), res.explored)
 
 
 def test_quartic_search_to_depth_five():

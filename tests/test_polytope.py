@@ -774,13 +774,13 @@ def test_unimodular_equivalent_permuted():
     assert {mat_vec(u, v) for v in p.vertices} == set(q.vertices)
 
 
-def brute_force_equivalent(p, q):
-    """Reference equivalence test, with no invariant to prune: fit one
-    independent vertex triple of p onto every ordered triple of q's vertices
-    (through the source triple's adjugate, computed once) and keep the first
-    integral, unimodular fit that maps the whole vertex set onto q's."""
+def brute_force_maps(p, q):
+    """Every integral unimodular fit of one independent vertex triple of p
+    onto an ordered triple of q's vertices (through the source triple's
+    adjugate, computed once) that maps the whole vertex set onto q's, in the
+    order of itertools.permutations, with no invariant to prune."""
     if p.n_vertices != q.n_vertices:
-        return None
+        return
     s = transpose([p.vertices[i] for i in independent_triple(p.vertices)])
     d, adj = det(s), adjugate(s)
     q_set = set(q.vertices)
@@ -790,8 +790,17 @@ def brute_force_equivalent(p, q):
             continue
         u = tuple(tuple(x // d for x in row) for row in scaled)
         if is_unimodular(u) and {mat_vec(u, v) for v in p.vertices} == q_set:
-            return u
-    return None
+            yield u
+
+
+def brute_force_equivalent(p, q):
+    """Reference equivalence test: the first of :func:`brute_force_maps`."""
+    return next(brute_force_maps(p, q), None)
+
+
+def brute_force_automorphisms(p):
+    """The lattice automorphisms of p: every map of p onto itself."""
+    return list(brute_force_maps(p, p))
 
 
 def assert_maps_onto(u, p, q):
@@ -820,6 +829,8 @@ def test_gl3z_key_and_equivalence_on_gl3z_images(points, rnd):
     u = unimodular_equivalent(p, q)
     assert_maps_onto(u, p, q)
     assert u == brute_force_equivalent(p, q)
+    for v, sig in zip(p.vertices, p.vertex_signatures):
+        assert q.vertex_signatures[q.vertices.index(mat_vec(u, v))] == sig
 
 
 @settings(max_examples=40, deadline=None)
