@@ -59,13 +59,14 @@ def _positive_int(text: str) -> int:
 
 
 def _print_report(report, fmt: str, suffix: str = "") -> None:
-    if fmt == "kv":
-        for c in report.checks:
+    for c in report.checks:
+        if fmt == "kv":
             state = "pass" if c.passed else "fail"
             print(f"row.{report.key}{suffix}.{_kv_name(c.name)}={state}")
-    else:
-        for line in report.lines():
-            print(line)
+        else:
+            mark = "ok" if c.passed else "FAIL"
+            detail = f"  ({c.detail})" if c.detail else ""
+            print(f"[{mark:>4}] {report.key}: {c.name}{detail}")
 
 
 def _kv_name(name: str) -> str:
@@ -79,7 +80,7 @@ def _kv_name(name: str) -> str:
 
 def cmd_verify_table(args) -> int:
     rows = all_rows = load_rows(args.data)
-    if args.row:
+    if args.row is not None:
         rows = select_rows(all_rows, args.row)
         if not rows:
             print(f"no row matches {args.row!r}; available rows:", file=sys.stderr)

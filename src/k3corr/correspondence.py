@@ -110,116 +110,79 @@ class VerificationReport(NamedTuple):
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            mark = "ok" if c.passed else "FAIL"
-            detail = f"  ({c.detail})" if c.detail else ""
-            out.append(f"[{mark:>4}] {self.key}: {c.name}{detail}")
-        return out
 
-
-class _Checks:
-    def __init__(self, key: str):
-        self.key = key
-        self.results: list[CheckResult] = []
-
-    def record(self, name: str, passed: bool, detail: str = ""):
-        self.results.append(CheckResult(name, bool(passed), detail))
-
-    def run(self, name: str, fn):
-        """Run fn; a K3CorrError fails the check, anything else is a bug."""
-        try:
-            value = fn()
-        except K3CorrError as exc:
-            self.results.append(CheckResult(name, False, str(exc)))
-            return None
-        self.results.append(CheckResult(name, True, ""))
-        return value
-
-    def report(self) -> VerificationReport:
-        return VerificationReport(key=self.key, checks=tuple(self.results))
+def _run(checks: list[CheckResult], name: str, fn):
+    """Run fn as check `name`: a K3CorrError fails it, anything else is a bug."""
+    try:
+        value = fn()
+    except K3CorrError as exc:
+        checks.append(CheckResult(name, False, str(exc)))
+        return None
+    checks.append(CheckResult(name, True))
+    return value
 
 
 def verify_row(row: RowRecord) -> VerificationReport:
     """Run every check of the row contract; failures become report entries."""
-    ck = _Checks(row.key)
-
-    for k, ws in enumerate(row.weights):
-        ck.record(
-            f"degree[{row.ids[k]}]=sum(weights)",
-            row.degrees[k] == ws.d,
-            f"printed {row.degrees[k]}, weights give {ws.d}",
+    checks = [
+        CheckResult(
+            f"degree[{i}]=sum(weights)", d == ws.d, f"printed {d}, weights give {ws.d}"
         )
+        for i, d, ws in zip(row.ids, row.degrees, row.weights)
+    ]
     degree_bad = [
         (row.ids[k], j, str(m), ws.weighted_degree(m))
         for j, col in enumerate(row.columns)
         for k, (m, ws) in enumerate(zip(col, row.weights))
         if ws.weighted_degree(m) != row.degrees[k]
     ]
-    ck.record(
-        "monomial-degrees",
-        not degree_bad,
-        "" if not degree_bad else f"bad: {degree_bad[:3]}",
-    )
+    bad = f"bad: {degree_bad[:3]}" if degree_bad else ""
+    checks.append(CheckResult("monomial-degrees", not degree_bad, bad))
     if degree_bad:
-        return ck.report()
+        return VerificationReport(row.key, tuple(checks))
+
+    def fit(j, k):
+        name = f"iso[{row.ids[j]}->{row.ids[k]}]"
+        return name, _run(checks, name, lambda: derive_iso(row, j, k))
+
+    def rank(label, polytope):
+        rho = _run(checks, f"rank({label})", lambda: picard_rank(polytope()).rho)
+        if rho is not None:
+            name = f"rank({label})={row.rank}"
+            checks.append(CheckResult(name, rho == row.rank, f"computed {rho}"))
 
     isos = {}
     for k in range(1, row.n_weights):
-        pair = f"{row.ids[0]}->{row.ids[k]}"
-        iso = ck.run(f"iso[{pair}]", lambda k=k: derive_iso(row, 0, k))
-        if iso is None:
-            continue
-        isos[k] = iso
-        ck.record(f"iso[{pair}] unimodular", is_unimodular(iso))
-        back = ck.run(f"iso[{row.ids[k]}->{row.ids[0]}]", lambda k=k: derive_iso(row, k, 0))
-        if back is not None:
-            ck.record(
-                f"iso[{pair}] inverse pair", mat_mul(back, iso) == identity(3)
-            )
+        name, iso = fit(0, k)
+        if iso is not None:
+            isos[k] = iso
+            checks.append(CheckResult(f"{name} unimodular", is_unimodular(iso)))
+            _, back = fit(k, 0)
+            if back is not None:
+                same = mat_mul(back, iso) == identity(3)
+                checks.append(CheckResult(f"{name} inverse pair", same))
     # path independence: j -> k directly equals composite through weight 0
-    for j, k in itertools.combinations(range(1, row.n_weights), 2):
-        if j in isos and k in isos:
-            direct = ck.run(
-                f"iso[{row.ids[j]}->{row.ids[k]}]",
-                lambda j=j, k=k: derive_iso(row, j, k),
-            )
-            if direct is not None:
-                ck.record(
-                    f"iso[{row.ids[j]}->{row.ids[k]}] path-independent",
-                    mat_mul(direct, isos[j]) == isos[k],
-                )
+    for j, k in itertools.combinations(isos, 2):
+        name, direct = fit(j, k)
+        if direct is not None:
+            same = mat_mul(direct, isos[j]) == isos[k]
+            checks.append(CheckResult(f"{name} path-independent", same))
 
-    delta = ck.run("common-delta reflexive+contained", lambda: common_delta(row))
+    delta = _run(checks, "common-delta reflexive+contained", lambda: common_delta(row))
     if delta is not None:
-        rk = ck.run("rank(delta)", lambda: picard_rank(delta).rho)
-        if rk is not None:
-            ck.record(
-                f"rank(delta)={row.rank}", rk == row.rank, f"computed {rk}"
-            )
-        for k, ws in enumerate(row.weights):
-            rkn = ck.run(
-                f"rank(newton[{row.ids[k]}])",
-                lambda ws=ws: picard_rank(newton_polytope(ws)).rho,
-            )
-            if rkn is not None:
-                ck.record(
-                    f"rank(newton[{row.ids[k]}])={row.rank}",
-                    rkn == row.rank,
-                    f"computed {rkn}",
-                )
-    return ck.report()
+        rank("delta", lambda: delta)
+        for i, ws in zip(row.ids, row.weights):
+            rank(f"newton[{i}]", lambda: newton_polytope(ws))
+    return VerificationReport(row.key, tuple(checks))
 
 
-def _swap_columns(row: RowRecord, weight_idx: int, perm: dict[int, int]) -> RowRecord:
-    """Permute the bold monomials of one weight: column j takes the monomial
+def _swap_columns(row: RowRecord, k: int, perm: dict[int, int]) -> RowRecord:
+    """Permute the bold monomials of weight k: column j takes the monomial
     previously in column perm[j]."""
-    columns = [list(col) for col in row.columns]
-    originals = [col[weight_idx] for col in row.columns]
-    for j, src in perm.items():
-        columns[j][weight_idx] = originals[src]
-    return row.with_columns(columns)
+    return row.with_columns(
+        col[:k] + (row.columns[perm.get(j, j)][k],) + col[k + 1 :]
+        for j, col in enumerate(row.columns)
+    )
 
 
 def _swaps(row: RowRecord):
@@ -241,17 +204,12 @@ def verify_swaps(row: RowRecord) -> VerificationReport:
     Each swapped row of _swaps must still verify; a row without bold
     columns has none, and its report is empty.
     """
-    ck = _Checks(row.key)
+    checks = []
     for label, k, swapped in _swaps(row):
-        sub = verify_row(swapped)
-        ck.record(
-            f"swap[{label}] on {row.ids[k]}",
-            sub.passed,
-            "" if sub.passed else "; ".join(
-                f"{c.name}: {c.detail}" for c in sub.checks if not c.passed
-            ),
-        )
-    return ck.report()
+        failed = [c for c in verify_row(swapped).checks if not c.passed]
+        detail = "; ".join(f"{c.name}: {c.detail}" for c in failed)
+        checks.append(CheckResult(f"swap[{label}] on {row.ids[k]}", not failed, detail))
+    return VerificationReport(row.key, tuple(checks))
 
 
 # -- reflexive subpolytope search ----------------------------------------------

@@ -22,7 +22,7 @@ from .polytope import Polytope3, hull
 
 VARIABLES = "WXYZ"
 
-_TOKEN = re.compile(r"([WXYZ])(?:\^\{?(\d+)\}?)?")
+_TOKEN = re.compile(r"([WXYZ])(?:\^(?:\{(\d+)\}|(\d+)))?")
 
 
 class MalformedMonomial(InputError):
@@ -80,7 +80,7 @@ def parse_monomial(text: str) -> Monomial:
         m = _TOKEN.match(s, pos)
         if not m:
             raise MalformedMonomial(f"cannot parse {text!r} at {s[pos:]!r}")
-        var, exp = m.group(1), m.group(2)
+        var, exp = m.group(1), m.group(2) or m.group(3)
         if var in exps:
             raise MalformedMonomial(f"variable {var} repeated in {text!r}")
         try:

@@ -38,9 +38,11 @@ def test_verify_table_id_selector_matches_both_rows(capsys):
 
 
 def test_verify_table_unknown_row_lists_keys(capsys):
-    code, out, err = run(capsys, "verify-table", "--row", "999")
-    assert code == 2
-    assert "13-72" in err and "56-73" in err
+    for selector in ("999", ""):
+        code, out, err = run(capsys, "verify-table", "--row", selector)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"no row matches {selector!r}; available rows:\n")
+        assert "  13-72  (rank 8)" in err and "56-73" in err
 
 
 def test_verify_table_all_rows(capsys):
@@ -81,6 +83,35 @@ def test_verify_table_kv_matches_benchmark_golden(capsys):
     code, out, _ = run(capsys, "verify-table", "--format", "kv")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden, want_code",
+    [
+        pytest.param([], "verify_table.txt", 0, id="table-text"),
+        pytest.param(
+            ["--data", "broken_table.json"], "broken_table.txt", 1, id="broken-text"
+        ),
+        pytest.param(
+            ["--data", "broken_table.json", "--format", "kv"], "broken_table.kv", 1,
+            id="broken-kv",
+        ),
+    ],
+)
+def test_verify_table_matches_golden(capsys, argv, golden, want_code):
+    """Every check line, detail and verdict, byte for byte.  The broken table
+    is the shipped one with seven rows edited so that each kind of check
+    fails somewhere: a printed rank (13-72, and 16-54 under its swaps), a
+    printed degree (50-82), an inconsistent column (9-71, and 14->28 of
+    14-28-45-51, which leaves one path pair), too few columns for a common
+    polytope (38-77) and bold columns that cannot be exchanged (20-59)."""
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, "verify-table", *argv)
+    assert (code, err) == (want_code, "")
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_verify_table_kv_matches_golden_under_optimize():
@@ -204,12 +235,15 @@ def test_verify_table_malformed_dataset(tmp_path, capsys):
 
 
 def test_verify_table_bad_monomial_dataset(tmp_path, capsys):
+    """Row 13-72's first entry is Z^2; with one brace it is no monomial."""
     rows = json.loads(TABLE_JSON.read_text(encoding="utf-8"))
-    rows[0]["columns"][0][0] = "Q^3"
-    bad = tmp_path / "bad2.json"
-    bad.write_text(json.dumps(rows))
-    code, _, err = run(capsys, "verify-table", "--data", str(bad))
-    assert code == 2
+    for monomial in ("Q^3", "Z^{2", "Z^2}"):
+        rows[0]["columns"][0][0] = monomial
+        bad = tmp_path / "bad2.json"
+        bad.write_text(json.dumps(rows))
+        code, _, err = run(capsys, "verify-table", "--data", str(bad))
+        assert code == 2
+        assert err.startswith("error: ") and repr(monomial) in err
 
 
 DATA_COMMANDS = pytest.mark.parametrize(

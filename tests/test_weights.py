@@ -57,12 +57,14 @@ def test_parse_monomial_examples():
     assert parse_monomial("Z^2").e == (0, 0, 0, 2)
     assert parse_monomial("WXYZ").e == (1, 1, 1, 1)
     assert parse_monomial("W^3X^7").e == (3, 7, 0, 0)
-    assert parse_monomial("W^{42}").e == (42, 0, 0, 0)
+    assert parse_monomial("W^{42}").e == parse_monomial("W^42").e == (42, 0, 0, 0)
     assert parse_monomial("X^4Z").e == (0, 4, 0, 1)
 
 
 def test_parse_monomial_rejects_garbage():
-    for bad in ("", "W^0", "WW", "W^2X^3W", "A^2", "W^-1", "W^2 X"):
+    for bad in (
+        "", "W^0", "WW", "W^2X^3W", "A^2", "W^-1", "W^2 X", "W^{3", "W^3}", "W^{}"
+    ):
         with pytest.raises(MalformedMonomial):
             parse_monomial(bad)
 
