@@ -14,17 +14,20 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .dataset import RowRecord
-from .intlinalg import InconsistentPairs, IntMat, K3CorrError, NotUnimodular, mat_mul
+from .intlinalg import InconsistentPairs, IntMat, K3CorrError, NotUnimodular, cross
 from .intlinalg import RankDeficientSource, fit_lattice_map, identity, is_unimodular
+from .intlinalg import det, mat_mul, vec_dot
 from .picard import picard_rank
 from .polytope import (
     DegeneratePointSet,
     OriginNotInterior,
     Polytope3,
     _from_mesh,
+    _sub,
     _triangle_hull,
     hull,
     is_reflexive,
@@ -53,25 +56,41 @@ def derive_iso(row: RowRecord, from_idx: int, to_idx: int) -> IntMat:
     """The unique linear map sending each source column point to its target.
 
     Solves on the first three linearly independent columns and verifies the
-    rest; anything else is an error, never a best fit.  The matrix maps
+    rest; anything else is an error, never a best fit (a misfit names the
+    columns outside the largest set that one map fits).  The matrix maps
     source lattice coordinates to target lattice coordinates.  Monomial
     coordinate changes act on the real logarithm space by the same matrix,
     so it is also the linear map between the amoebas.
     """
+    src, tgt = _column_points(row, from_idx), _column_points(row, to_idx)
     try:
-        return fit_lattice_map(
-            _column_points(row, from_idx), _column_points(row, to_idx)
-        )
+        return fit_lattice_map(src, tgt)
     except InconsistentPairs as exc:
-        j = exc.bad[0]
+        bad = _misfit_columns(src, tgt)
+        j = bad[0]
         raise InconsistentPairs(
-            f"row {row.key}: no linear map fits columns {exc.bad} "
+            f"row {row.key}: no linear map fits columns {bad} "
             f"({row.column_monomials(from_idx)[j]} vs "
             f"{row.column_monomials(to_idx)[j]})",
-            exc.bad,
+            bad,
         ) from exc
     except (RankDeficientSource, NotUnimodular) as exc:
         raise type(exc)(f"row {row.key}: {exc}") from exc
+
+
+def _misfit_columns(src, tgt) -> list[int]:
+    """The columns outside the largest set that one map fits, when none fits
+    all: each independent triple leads the pairs in turn, so fit_lattice_map
+    solves on it and lists its misfits.  Ties go to the last triple."""
+    misfits = []
+    for trip in itertools.combinations(range(len(src)), 3):
+        s, t = [src[i] for i in trip], [tgt[i] for i in trip]
+        if det(s):
+            try:
+                fit_lattice_map(s + list(src), t + list(tgt))
+            except InconsistentPairs as exc:
+                misfits.append([j - 3 for j in exc.bad])
+    return min(reversed(misfits), key=len)
 
 
 @lru_cache(maxsize=1024)
@@ -221,7 +240,7 @@ class SubReflexiveSearch(NamedTuple):
     explored: int = 0
 
 
-def _children(p: Polytope3, points):
+def _children(p: Polytope3, points, tried=None):
     """Each vertex deletion of p, in vertex order, as (child, rest): the hull
     of p's lattice points without that vertex, and those points.
 
@@ -229,18 +248,42 @@ def _children(p: Polytope3, points):
     `points` must be sorted, duplicate-free and integer, as
     `Polytope3.lattice_points` is, and so is every `rest` filtered from it.
     That is the cloud `hull` would make of it, so the triangle mesh built
-    from `rest` directly gives the same child as `hull(rest)`.  Children
-    that are degenerate, or whose mesh has a triangle with s <= 0 (the
-    origin is not interior), are skipped before any polytope is built.
+    from `rest` directly gives the same child as `hull(rest)`.  A rest whose
+    point set is in `tried` is skipped, and the others are added to it.
+
+    The origin is interior to p, so every rest holds it.  If some n = a x b,
+    with a and b among the deleted v's edge neighbours w and the first
+    lattice points v + (w - v)/gcd(w - v), has <n, v> < 0 <= <n, q> for all
+    q in rest, a plane through the origin bounds the child, so the origin
+    is not interior: the child is skipped with no mesh.  Otherwise the mesh
+    decides, and a degenerate rest or a triangle with s <= 0 is skipped.
     """
-    for v in p.vertices:
+    for k, v in enumerate(p.vertices):
         rest = [q for q in points if q != v]
-        try:
-            mesh = _triangle_hull(rest)
-        except DegeneratePointSet:
-            continue
-        if all(s > 0 for _, s in mesh.values()):
-            yield _from_mesh(rest, 1, mesh), rest
+        if tried is not None:
+            key = frozenset(rest)
+            if key in tried:
+                continue
+            tried.add(key)
+        ws = [p.vertices[i + j - k] for i, j in p.edges if k in (i, j)]
+        pool = ws + [
+            tuple(x + (y - x) // g for x, y in zip(v, w))
+            for w in ws if (g := gcd(*_sub(w, v))) > 1
+        ]
+        for a, b in itertools.combinations(pool, 2):
+            n = cross(a, b)
+            side = vec_dot(n, v)
+            if side > 0:
+                n = (-n[0], -n[1], -n[2])
+            if side and all(n[0] * x + n[1] * y + n[2] * z >= 0 for x, y, z in rest):
+                break
+        else:
+            try:
+                mesh = _triangle_hull(rest)
+            except DegeneratePointSet:
+                continue
+            if all(s > 0 for _, s in mesh.values()):
+                yield _from_mesh(rest, 1, mesh), rest
 
 
 def search_sub_reflexive(
@@ -256,12 +299,19 @@ def search_sub_reflexive(
     same invariant key, and the first one seen stays.  Each result keeps the
     origin interior.  The walk is exhausted when the cap turns a result away,
     which ends it at once, or when a state of the last level has a child.
+
+    _children rejects most children without the origin by a plane through
+    it, before any mesh; the mesh decides the others.  A point set tried at
+    any level is skipped: its child was rejected then or matches a kept
+    state now.  The depth probe keeps no such set, as a repeat still counts
+    as a child there.
     """
     if not p.origin_interior:
         raise OriginNotInterior("the root lacks the origin in its interior")
     seen: dict[tuple, list[Polytope3]] = {p.gl3z_key: [p]}
     found: list[Polytope3] = []
     level = [(p, p.lattice_points)]
+    tried: set[frozenset] = set()
     explored = 0
     for _ in range(max_depth):
         if not level:
@@ -269,7 +319,7 @@ def search_sub_reflexive(
         explored += len(level)
         next_level = []
         for state, points in level:
-            for child, rest in _children(state, points):
+            for child, rest in _children(state, points, tried):
                 bucket = seen.setdefault(child.gl3z_key, [])
                 if any(unimodular_equivalent(child, known) for known in bucket):
                     continue

@@ -6,9 +6,11 @@ exact), runs an incremental (beneath-beyond) convex hull over exact integers
 that gives a triangle mesh, and builds the polytope from that mesh.  A rational
 cloud is scaled by the lcm of its denominators; an integer cloud (every Newton
 polytope and search child) is hulled as it is, with no Fraction round trip.
-A search child's cloud is canonical already, so the search runs the mesh step
-itself, drops a child whose mesh shows the origin outside its interior, and
-hands the rest to the same builder.  The mesh is the one source of the
+A search child's cloud is canonical already.  The search first drops a child
+whose points all lie on one side of a plane through the origin, as the
+origin is then not interior; when it finds no such plane, it runs the mesh
+step itself, drops a child whose mesh shows the origin outside its interior,
+and hands the rest to the same builder.  The mesh is the one source of the
 combinatorics: vertices in canonical lexicographic order, facets as primitive
 inward inequalities <n, x> >= -c, the full facet/vertex incidence, and edges
 with the two facets meeting in each.  Per-face lattice point counts follow

@@ -114,6 +114,22 @@ def test_verify_table_matches_golden(capsys, argv, golden, want_code):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+#: the searches of golden/search_sub.txt, in order, as (weights, depth)
+SEARCH_SUB_GOLDEN = (
+    ("2,4,5,9", "3"), ("3,4,5,6", "3"), ("1,3,8,12", "2"), ("2,3,10,15", "2")
+)
+
+
+def test_search_sub_matches_golden(capsys):
+    """Each search's header, ranks and vertices, byte for byte."""
+    out = ""
+    for weights, depth in SEARCH_SUB_GOLDEN:
+        code, text, err = run(capsys, "search-sub", weights, "--max-depth", depth)
+        assert (code, err) == (0, "")
+        out += text
+    assert out.encode() == (GOLDEN / "search_sub.txt").read_bytes()
+
+
 def test_verify_table_kv_matches_golden_under_optimize():
     """No invariant may rest on ``assert``: ``python -O`` strips it."""
     import os

@@ -118,6 +118,19 @@ def test_derive_iso_inconsistent_columns(rows_by_key):
         derive_iso(row.with_columns(cols), 0, 1)
 
 
+def test_derive_iso_names_the_exchanged_columns(rows_by_key):
+    """With weight 71's first two monomials of 9-71 exchanged, one map fits
+    the four other columns, and the message names the two exchanged ones,
+    not the good columns outside the first independent triple."""
+    row = rows_by_key["9-71"]
+    cols = [list(c) for c in row.columns]
+    cols[0][1], cols[1][1] = cols[1][1], cols[0][1]
+    message = r"columns \[0, 1\] \(W\^20 vs X\^5\)$"
+    with pytest.raises(InconsistentPairs, match=message) as exc:
+        derive_iso(row.with_columns(cols), 0, 1)
+    assert exc.value.bad == [0, 1]
+
+
 def test_derive_iso_rank_deficient():
     ws = WeightSystem.from_weights([1, 1, 1, 1])
     m = parse_monomial("W^2X^2")
@@ -536,9 +549,10 @@ def test_search_stops_at_the_first_empty_level(rows_by_key, key):
 
 
 def test_search_hull_calls_at_depth_two(rows, monkeypatch):
-    """One triangle mesh per child tried, and a polytope only for the
-    children that keep the origin interior; the depth probe stops at the
-    first state of the last level that has a child."""
+    """A triangle mesh only for a new point set that no separating plane
+    rejects, and a polytope only for the children that keep the origin
+    interior; the depth probe stops at the first state of the last level
+    that has a child."""
     deltas = [common_delta(row) for row in rows]
     meshes, polytopes = [], []
 
@@ -554,7 +568,7 @@ def test_search_hull_calls_at_depth_two(rows, monkeypatch):
     monkeypatch.setattr(correspondence, "_from_mesh", counting_build)
     for delta in deltas:
         search_sub_reflexive(delta, max_depth=2)
-    assert (len(meshes), len(polytopes)) == (306, 121)
+    assert (len(meshes), len(polytopes)) == (101, 101)
 
 
 def signed_permutation(rng):
@@ -602,3 +616,124 @@ def test_children_match_hull_on_table_deltas(rows):
                     yielded_total += len(yielded)
                 level = next_level
     assert (yielded_total, skipped_total) == (432, 536)
+
+
+def mesh_children(p, points):
+    """The children as the search made them before it tried separating
+    planes and kept its tried point sets: one triangle mesh per deletion."""
+    for v in p.vertices:
+        rest = [q for q in points if q != v]
+        try:
+            mesh = _triangle_hull(rest)
+        except DegeneratePointSet:
+            continue
+        if all(s > 0 for _, s in mesh.values()):
+            yield _from_mesh(rest, 1, mesh), rest
+
+
+def mesh_walk(p, max_results=64, max_depth=3):
+    """The level walk over mesh_children: (found vertices, explored,
+    exhausted)."""
+    seen = {p.gl3z_key: [p]}
+    found, level, explored = [], [(p, p.lattice_points)], 0
+    for _ in range(max_depth):
+        if not level:
+            break
+        explored += len(level)
+        next_level = []
+        for state, points in level:
+            for child, rest in mesh_children(state, points):
+                bucket = seen.setdefault(child.gl3z_key, [])
+                if any(unimodular_equivalent(child, known) for known in bucket):
+                    continue
+                bucket.append(child)
+                if is_reflexive(child):
+                    if len(found) >= max_results:
+                        return [q.vertices for q in found], explored, True
+                    found.append(child)
+                next_level.append((child, rest))
+        level = next_level
+    exhausted = any(next(mesh_children(*s), None) for s in level)
+    return [q.vertices for q in found], explored, exhausted
+
+
+def walk_fields(p, max_results=64, max_depth=3):
+    res = search_sub_reflexive(p, max_results, max_depth)
+    fields = [q.vertices for q in res.found], res.explored, res.exhausted
+    assert fields == mesh_walk(p, max_results, max_depth)
+    return fields
+
+
+def test_search_matches_mesh_walk_on_table_deltas(rows):
+    """Each row's delta and three signed-permutation images of it."""
+    rng = random.Random(21)
+    for row in rows:
+        delta = common_delta(row)
+        images = [transform(delta, signed_permutation(rng)) for _ in range(3)]
+        for root in [delta] + images:
+            walk_fields(root, max_depth=2)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 2, 2), (3, 4, 5, 6), (2, 2, 3, 5)])
+def test_search_matches_mesh_walk_on_newton_polytopes(weights):
+    walk_fields(newton_polytope(WeightSystem.from_weights(weights)))
+
+
+@pytest.mark.parametrize("max_results", [1, 3])
+def test_search_matches_mesh_walk_at_the_cap(rows, max_results):
+    """The cap ends some walks early: they explore fewer states than the
+    same walk without it."""
+    cut = 0
+    for row in rows:
+        delta = common_delta(row)
+        explored = walk_fields(delta, max_results)[1]
+        cut += explored < search_sub_reflexive(delta).explored
+    assert cut > 0
+
+
+def test_opposite_edge_neighbours_certify_nothing():
+    """(2, 0, 0)'s edge neighbours include (0, 1, 0) and (0, -1, 0), whose
+    cross product is 0; deleting either end of the long axis keeps the
+    origin interior, so both children stay."""
+    p = hull([(2, 0, 0), (-2, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    points = p.lattice_points
+    deleted = [set(points) - set(rest) for _, rest in _children(p, points)]
+    assert deleted == [{(-2, 0, 0)}, {(2, 0, 0)}]
+    assert walk_fields(p)[1:] == (3, False)
+
+
+def test_certified_rejections_lose_the_origin(rows, monkeypatch):
+    """To depth 2 from each row's delta, every deletion that _children
+    rejects without a mesh leaves a rest that is degenerate or lacks the
+    origin in its interior.  On these polytopes that is every deletion
+    rejected: all 134 are rejected without a mesh."""
+    meshed = []
+
+    def recording_mesh(points):
+        meshed.append(points)
+        return _triangle_hull(points)
+
+    monkeypatch.setattr(correspondence, "_triangle_hull", recording_mesh)
+    certified = rejected = 0
+    for row in rows:
+        root = common_delta(row)
+        level = [(root, root.lattice_points)]
+        for _ in range(2):
+            next_level = []
+            for state, points in level:
+                meshed.clear()
+                children = list(_children(state, points))
+                rejected += len(state.vertices) - len(children)
+                next_level.extend(children)
+                for v in state.vertices:
+                    rest = [q for q in points if q != v]
+                    if rest in meshed:
+                        continue
+                    certified += 1
+                    try:
+                        child = hull(rest)
+                    except DegeneratePointSet:
+                        continue
+                    assert not child.origin_interior
+            level = next_level
+    assert (certified, rejected) == (134, 134)
