@@ -257,7 +257,11 @@ def _children(p: Polytope3, points, tried=None):
     q in rest, a plane through the origin bounds the child, so the origin
     is not interior: the child is skipped with no mesh.  Otherwise the mesh
     decides, and a degenerate rest or a triangle with s <= 0 is skipped.
+    The mesh inserts p's other vertices first: each is extreme in p, which
+    contains conv(rest), and lies in rest, so it is a vertex of the child;
+    most other points then lie beneath the hull when they are inserted.
     """
+    at = [points.index(w) for w in p.vertices]
     for k, v in enumerate(p.vertices):
         rest = [q for q in points if q != v]
         if tried is not None:
@@ -279,7 +283,7 @@ def _children(p: Polytope3, points, tried=None):
                 break
         else:
             try:
-                mesh = _triangle_hull(rest)
+                mesh = _triangle_hull(rest, at[:k] + [i - 1 for i in at[k + 1:]])
             except DegeneratePointSet:
                 continue
             if all(s > 0 for _, s in mesh.values()):

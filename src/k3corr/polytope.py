@@ -9,23 +9,27 @@ polytope and search child) is hulled as it is, with no Fraction round trip.
 A search child's cloud is canonical already.  The search first drops a child
 whose points all lie on one side of a plane through the origin, as the
 origin is then not interior; when it finds no such plane, it runs the mesh
-step itself, drops a child whose mesh shows the origin outside its interior,
-and hands the rest to the same builder.  The mesh is the one source of the
-combinatorics: vertices in canonical lexicographic order, facets as primitive
-inward inequalities <n, x> >= -c, the full facet/vertex incidence, and edges
-with the two facets meeting in each.  Per-face lattice point counts follow
-in closed form from that incidence (gcd and Pick); read both ways, it gives
-the polar dual's counts with no dual hull.  The lattice-point list is a cached
-column scan.  The columns of the vertex-facet pairing matrix <n, v> + c, each
-sorted, are the GL(3, Z)-invariant vertex signatures; sorted, they are the key
-that buckets polytopes before the exact equivalence test, which fits only
-vertex triples whose signatures match.
+step itself, inserting the parent's other vertices first (they are vertices
+of the child), drops a child whose mesh shows the origin outside its
+interior, and hands the rest to the same builder.  The builder numbers the
+mesh's planes once and checks what it reads: 3 or more vertices per facet,
+Euler's relation and every cloud point contained.  The mesh, in whatever
+insertion order, is the one source of the combinatorics: vertices in canonical
+lexicographic order, facets as primitive inward inequalities <n, x> >= -c, the
+full facet/vertex incidence, and edges with the two facets meeting in each.
+Per-face lattice point counts follow in closed form from that incidence (gcd
+and Pick); read both ways, it gives the polar dual's counts with no dual hull.
+The lattice-point list is a cached column scan.  The columns of the
+vertex-facet pairing matrix <n, v> + c, each sorted, are the
+GL(3, Z)-invariant vertex signatures; sorted, they are the key that buckets
+polytopes before the exact equivalence test, which fits only vertex triples
+whose signatures match.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, lcm
@@ -64,7 +68,7 @@ def _sub(u, v):
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
-def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
+def _triangle_hull(pts: list[tuple[int, int, int]], first=()) -> dict[tuple, tuple]:
     """Beneath-beyond hull of integer points, as a closed triangle mesh.
 
     Returns {(a, b, c): (g, s)}: each triangle's corner indices with its
@@ -73,21 +77,27 @@ def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
     or inside the current hull are skipped, so a corner may lie inside a
     facet or an edge.  Coplanar triangles are merged into facets by the
     caller.
+
+    The indices in `first` go first, also when the seed tetrahedron is
+    drawn; the rest follow in index order.  The order sets the triangulation
+    and the cost, never the hull: when the first points are known vertices,
+    most later points lie beneath the hull and cost one visibility scan.
     """
     n = len(pts)
-    i0 = 0
-    i1 = next((i for i in range(n) if pts[i] != pts[i0]), None)
+    order = [*first, *sorted(set(range(n)).difference(first))]
+    i0 = order[0] if n else 0
+    i1 = next((i for i in order if pts[i] != pts[i0]), None)
     if i1 is None:
         raise DegeneratePointSet("all points coincide")
     d01 = _sub(pts[i1], pts[i0])
     i2 = next(
-        (i for i in range(n) if any(cross(d01, _sub(pts[i], pts[i0])))), None
+        (i for i in order if any(cross(d01, _sub(pts[i], pts[i0])))), None
     )
     if i2 is None:
         raise DegeneratePointSet("points are collinear")
     normal = cross(d01, _sub(pts[i2], pts[i0]))
     i3 = next(
-        (i for i in range(n) if vec_dot(normal, _sub(pts[i], pts[i0]))), None
+        (i for i in order if vec_dot(normal, _sub(pts[i], pts[i0]))), None
     )
     if i3 is None:
         raise DegeneratePointSet("points are coplanar")
@@ -106,7 +116,7 @@ def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
     # (i0, i1, i2) faces away from i3; the other three share its orientation
     seed = [(i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)]
     faces = {f: plane(*f) for f in seed}
-    for m in range(n):
+    for m in order:
         if m in (i0, i1, i2, i3):
             continue
         x, y, z = pts[m]
@@ -308,58 +318,61 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
     """The polytope of a sorted, duplicate-free cloud from its triangle mesh.
 
     `mesh` is :func:`_triangle_hull` of the cloud scaled by `scale` (the
-    cloud itself when `scale` is 1).  Checks that every facet has at least
-    3 vertices, that Euler's relation holds and that every cloud point is
-    contained, and raises AssertionError otherwise.
+    cloud itself when `scale` is 1), in any insertion order.  Checks that
+    every facet has at least 3 vertices, that Euler's relation holds and
+    that every cloud point is contained, and raises AssertionError otherwise.
     """
-    # group the triangles by facet plane (outward form <g, x> <= s, made
-    # primitive by one gcd, which divides s as the corners are integers),
-    # and record the plane that owns each directed triangle edge
-    planes: dict[tuple[tuple[int, int, int], int], set[int]] = {}
+    # group the triangles by facet plane (inward form <n, x> >= -c, made
+    # primitive by one gcd, which divides the offset as the corners are
+    # integers), numbering the planes as they are first seen, and record
+    # the plane that owns each directed triangle edge
+    ids: dict[tuple[int, int, int, int], int] = {}
+    corners: defaultdict[int, set[int]] = defaultdict(set)
     owner = {}
     for (a, b, c), ((gx, gy, gz), s) in mesh.items():
         d = gcd(gx, gy, gz)
-        plane = ((gx // d, gy // d, gz // d), s // d)
-        planes.setdefault(plane, set()).update((a, b, c))
-        owner[a, b] = owner[b, c] = owner[c, a] = plane
+        f = ids.setdefault((-gx // d, -gy // d, -gz // d, s // d), len(ids))
+        corners[f].update((a, b, c))
+        owner[a, b] = owner[b, c] = owner[c, a] = f
 
     # a corner on three or more facet planes is a vertex (two facets of a
     # 3-polytope share at most an edge); corner ids follow the sorted cloud
-    on_planes = Counter(i for corners in planes.values() for i in corners)
+    on_planes = Counter(i for plane in corners.values() for i in plane)
     vertex_ids = sorted(i for i, k in on_planes.items() if k >= 3)
     renumber = {old: new for new, old in enumerate(vertex_ids)}
     vertices = tuple(cloud[i] for i in vertex_ids)
 
-    def inward(plane):
-        g, s = plane
-        return tuple(-x for x in g), s if scale == 1 else _exact(Fraction(s, scale))
-
-    ordered = sorted(planes, key=inward)
-    index = {plane: f for f, plane in enumerate(ordered)}
-    facets = tuple(map(inward, ordered))
+    ordered = sorted(ids)  # the facet order; rank maps a plane's id into it
+    rank = [0] * len(ordered)
+    for f, plane in enumerate(ordered):
+        rank[ids[plane]] = f
+    facets = tuple(
+        ((nx, ny, nz), s if scale == 1 else _exact(Fraction(s, scale)))
+        for nx, ny, nz, s in ordered
+    )
     facet_vertices = tuple(
-        tuple(sorted(renumber[i] for i in planes[pl] if i in renumber))
+        tuple(sorted(renumber[i] for i in corners[ids[pl]] if i in renumber))
         for pl in ordered
     )
     if any(len(fv) < 3 for fv in facet_vertices):
         raise AssertionError("facet with fewer than 3 vertices")
 
     # a triangle edge between two planes lies on the edge where those facets
-    # meet, whose endpoints are the two vertices the facets share
-    facets_of_edge = {}
-    for (a, b), plane in owner.items():
-        f, g = index[plane], index[owner[b, a]]
-        if f < g:
-            shared = set(facet_vertices[f]) & set(facet_vertices[g])
-            facets_of_edge[tuple(sorted(shared))] = (f, g)
-    edges, edge_facets = zip(*sorted(facets_of_edge.items()))
+    # meet, whose endpoints are the two vertices the facets share; edges in
+    # one plane, and reverse edges, drop out on the ids before any rank lookup
+    meets = {(f, g) for (a, b), f in owner.items() if f < (g := owner[b, a])}
+    shared = [set(fv) for fv in facet_vertices]
+    edges, edge_facets = zip(*sorted(
+        (tuple(sorted(shared[f] & shared[g])), (f, g))
+        for f, g in (sorted((rank[f], rank[g])) for f, g in meets)
+    ))
 
-    poly = Polytope3(vertices, facets, facet_vertices, edges, edge_facets)
-    if poly.n_vertices - poly.n_edges + poly.n_facets != 2:
+    if len(vertices) - len(edges) + len(facets) != 2:
         raise AssertionError("Euler relation violated; hull is inconsistent")
-    if not all(poly.contains_point(p) for p in cloud):
-        raise AssertionError("hull drops an input point")
-    return poly
+    for (nx, ny, nz), c in facets:
+        if min(nx * x + ny * y + nz * z for x, y, z in cloud) < -c:
+            raise AssertionError("hull drops an input point")
+    return Polytope3(vertices, facets, facet_vertices, edges, edge_facets)
 
 
 def polar_dual(p: Polytope3) -> Polytope3:

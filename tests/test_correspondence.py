@@ -337,8 +337,9 @@ def test_verify_swaps_all_bold_rows(rows):
 
 
 def test_search_children_are_reflexive_and_inside():
-    p = hull([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)])
-    res = search_sub_reflexive(p, max_depth=1)
+    p = newton_polytope(WeightSystem.from_weights([2, 4, 5, 9]))
+    res = search_sub_reflexive(p, max_depth=2)
+    assert len(res.found) == 2
     for q in res.found:
         assert is_reflexive(q)
         assert contains(p, q)
@@ -451,12 +452,15 @@ def test_quartic_search_to_depth_five():
 
 
 def test_search_respects_result_cap():
-    p = hull([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)])
-    res = search_sub_reflexive(p, max_results=1, max_depth=3)
-    if len(res.found) == 1:
-        deeper = search_sub_reflexive(p, max_results=64, max_depth=3)
-        if len(deeper.found) > 1:
-            assert res.exhausted
+    """Two results lie within depth 2; a cap of one keeps the first and
+    marks the walk exhausted."""
+    p = newton_polytope(WeightSystem.from_weights([2, 4, 5, 9]))
+    res = search_sub_reflexive(p, max_results=1, max_depth=2)
+    assert len(res.found) == 1
+    assert res.exhausted
+    uncapped = search_sub_reflexive(p, max_depth=2)
+    assert len(uncapped.found) == 2
+    assert res.found[0].vertices == uncapped.found[0].vertices
 
 
 def reference_search(p, max_results=64, max_depth=3):
@@ -556,9 +560,9 @@ def test_search_hull_calls_at_depth_two(rows, monkeypatch):
     deltas = [common_delta(row) for row in rows]
     meshes, polytopes = [], []
 
-    def counting_mesh(points):
+    def counting_mesh(points, *order):
         meshes.append(len(points))
-        return _triangle_hull(points)
+        return _triangle_hull(points, *order)
 
     def counting_build(cloud, scale, mesh):
         polytopes.append(len(cloud))
@@ -709,9 +713,9 @@ def test_certified_rejections_lose_the_origin(rows, monkeypatch):
     rejected: all 134 are rejected without a mesh."""
     meshed = []
 
-    def recording_mesh(points):
+    def recording_mesh(points, *order):
         meshed.append(points)
-        return _triangle_hull(points)
+        return _triangle_hull(points, *order)
 
     monkeypatch.setattr(correspondence, "_triangle_hull", recording_mesh)
     certified = rejected = 0

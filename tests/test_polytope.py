@@ -7,10 +7,10 @@ used by the implementation.
 
 import itertools
 from fractions import Fraction
-from math import ceil, comb, floor, gcd
+from math import ceil, comb, floor, gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3corr import polytope
 from k3corr.intlinalg import (
@@ -205,6 +205,51 @@ rational_point_sets = st.lists(
     min_size=4,
     max_size=8,
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets, st.data())
+def test_from_mesh_matches_hull_in_any_insertion_order(points, data):
+    """Indices inserted first change only the triangulation: the builder
+    still gives hull's polytope, and the mesh's offsets are all positive
+    exactly when the origin is interior, which the search relies on for the
+    meshes it orders."""
+    cloud = sorted(set(points))
+    order = data.draw(st.permutations(range(len(cloud))))
+    first = order[: data.draw(st.integers(0, len(cloud)))]
+    try:
+        mesh = polytope._triangle_hull(cloud, first)
+    except DegeneratePointSet:
+        with pytest.raises(DegeneratePointSet):
+            hull(points)
+        return
+    p = hull(points)
+    assert polytope_fields(polytope._from_mesh(cloud, 1, mesh)) == polytope_fields(p)
+    assert all(s > 0 for _, s in mesh.values()) == p.origin_interior
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(point_sets, rational_point_sets))
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+@example(
+    [
+        (Fraction(-1, 2), 0, 0), (0, Fraction(1, 3), 0),
+        (0, 0, Fraction(2, 3)), (0, 0, 0), (Fraction(1, 2), 1, 1),
+    ]
+)
+def test_from_mesh_rejects_a_mesh_that_misses_a_point(points):
+    """The last point of a sorted cloud is a vertex of its hull, so a mesh
+    of the other points leaves it outside and the builder refuses it, on
+    integer clouds and on rational ones scaled as hull scales them."""
+    cloud = sorted({tuple(map(polytope._exact, p)) for p in points})
+    scale = lcm(*(Fraction(c).denominator for p in cloud for c in p))
+    scaled = [tuple(int(c * scale) for c in p) for p in cloud]
+    try:
+        mesh = polytope._triangle_hull(scaled[:-1])
+    except DegeneratePointSet:
+        assume(False)
+    with pytest.raises(AssertionError, match="^hull drops an input point$"):
+        polytope._from_mesh(cloud, scale, mesh)
 
 
 @settings(max_examples=60, deadline=None)
