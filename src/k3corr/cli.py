@@ -58,7 +58,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _print_report(report, fmt: str, suffix: str = "") -> None:
+def _print_report(report, fmt: str, suffix: str) -> None:
     for c in report.checks:
         if fmt == "kv":
             state = "pass" if c.passed else "fail"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
 from typing import NamedTuple
 
 from .dataset import RowRecord
@@ -27,7 +26,6 @@ from .polytope import (
     OriginNotInterior,
     Polytope3,
     _from_mesh,
-    _sub,
     _triangle_hull,
     hull,
     is_reflexive,
@@ -237,44 +235,37 @@ def verify_swaps(row: RowRecord) -> VerificationReport:
 class SubReflexiveSearch(NamedTuple):
     found: tuple[Polytope3, ...]
     exhausted: bool  # True when limits cut the walk short
-    explored: int = 0
+    explored: int
 
 
-def _children(p: Polytope3, points, tried=None):
+def _children(p: Polytope3, points, tried):
     """Each vertex deletion of p, in vertex order, as (child, rest): the hull
-    of p's lattice points without that vertex, and those points.
+    of p's lattice points `points` without that vertex, and those points.
 
-    A vertex is extreme, so the child's lattice points are exactly the rest.
-    `points` must be sorted, duplicate-free and integer, as
-    `Polytope3.lattice_points` is, and so is every `rest` filtered from it.
-    That is the cloud `hull` would make of it, so the triangle mesh built
-    from `rest` directly gives the same child as `hull(rest)`.  A rest whose
-    point set is in `tried` is skipped, and the others are added to it.
+    A vertex is extreme, so the child's lattice points are exactly the rest,
+    which lists p's other vertices first and then the points of p that are
+    not vertices.  Each of those vertices is extreme in p, which contains
+    conv(rest), and lies in rest, so it is a vertex of the child; the mesh
+    inserts them first, and most other points then lie beneath the hull
+    when they are inserted.  A rest whose point set is in `tried` is
+    skipped, and the others are added to it.
 
     The origin is interior to p, so every rest holds it.  If some n = a x b,
-    with a and b among the deleted v's edge neighbours w and the first
-    lattice points v + (w - v)/gcd(w - v), has <n, v> < 0 <= <n, q> for all
-    q in rest, a plane through the origin bounds the child, so the origin
-    is not interior: the child is skipped with no mesh.  Otherwise the mesh
-    decides, and a degenerate rest or a triangle with s <= 0 is skipped.
-    The mesh inserts p's other vertices first: each is extreme in p, which
-    contains conv(rest), and lies in rest, so it is a vertex of the child;
-    most other points then lie beneath the hull when they are inserted.
+    with a and b among the deleted v's edge neighbours, has
+    <n, v> < 0 <= <n, q> for all q in rest, a plane through the origin bounds
+    the child, so the origin is not interior: the child is skipped with no
+    mesh.  Otherwise the mesh decides, and a degenerate rest or a triangle
+    with s <= 0 is skipped.
     """
-    at = [points.index(w) for w in p.vertices]
+    inner = [q for q in points if q not in p.vertices]
     for k, v in enumerate(p.vertices):
-        rest = [q for q in points if q != v]
-        if tried is not None:
-            key = frozenset(rest)
-            if key in tried:
-                continue
-            tried.add(key)
+        rest = [*p.vertices[:k], *p.vertices[k + 1:], *inner]
+        key = frozenset(rest)
+        if key in tried:
+            continue
+        tried.add(key)
         ws = [p.vertices[i + j - k] for i, j in p.edges if k in (i, j)]
-        pool = ws + [
-            tuple(x + (y - x) // g for x, y in zip(v, w))
-            for w in ws if (g := gcd(*_sub(w, v))) > 1
-        ]
-        for a, b in itertools.combinations(pool, 2):
+        for a, b in itertools.combinations(ws, 2):
             n = cross(a, b)
             side = vec_dot(n, v)
             if side > 0:
@@ -283,7 +274,7 @@ def _children(p: Polytope3, points, tried=None):
                 break
         else:
             try:
-                mesh = _triangle_hull(rest, at[:k] + [i - 1 for i in at[k + 1:]])
+                mesh = _triangle_hull(rest)
             except DegeneratePointSet:
                 continue
             if all(s > 0 for _, s in mesh.values()):
@@ -307,8 +298,11 @@ def search_sub_reflexive(
     _children rejects most children without the origin by a plane through
     it, before any mesh; the mesh decides the others.  A point set tried at
     any level is skipped: its child was rejected then or matches a kept
-    state now.  The depth probe keeps no such set, as a repeat still counts
-    as a child there.
+    state now.  The depth probe shares the walk's set and still finds the
+    same children.  A child has one lattice point fewer than its parent, so
+    a point set of one level never repeats at another; and `any` stops at
+    the probe's first child, so every set the probe added before was
+    rejected, and a repeat of it would be rejected again.
     """
     if not p.origin_interior:
         raise OriginNotInterior("the root lacks the origin in its interior")
@@ -334,7 +328,7 @@ def search_sub_reflexive(
                     found.append(child)
                 next_level.append((child, rest))
         level = next_level
-    exhausted = any(next(_children(*s), None) for s in level)
+    exhausted = any(next(_children(*s, tried), None) for s in level)
     return SubReflexiveSearch(
         found=tuple(found), exhausted=exhausted, explored=explored
     )

@@ -6,15 +6,16 @@ exact), runs an incremental (beneath-beyond) convex hull over exact integers
 that gives a triangle mesh, and builds the polytope from that mesh.  A rational
 cloud is scaled by the lcm of its denominators; an integer cloud (every Newton
 polytope and search child) is hulled as it is, with no Fraction round trip.
-A search child's cloud is canonical already.  The search first drops a child
+The mesh inserts the cloud in list order.  A search child's cloud is
+duplicate-free and integer already, and lists the parent's other vertices
+first (they are vertices of the child).  The search first drops a child
 whose points all lie on one side of a plane through the origin, as the
 origin is then not interior; when it finds no such plane, it runs the mesh
-step itself, inserting the parent's other vertices first (they are vertices
-of the child), drops a child whose mesh shows the origin outside its
-interior, and hands the rest to the same builder.  The builder numbers the
-mesh's planes once and checks what it reads: 3 or more vertices per facet,
-Euler's relation and every cloud point contained.  The mesh, in whatever
-insertion order, is the one source of the combinatorics: vertices in canonical
+step itself, drops a child whose mesh shows the origin outside its
+interior, and hands the rest to the same builder.  The builder takes the
+cloud in any order, numbers the mesh's planes once and checks what it
+reads: 3 or more vertices per facet, Euler's relation and every cloud point
+contained.  The mesh is the one source of the combinatorics: vertices in
 lexicographic order, facets as primitive inward inequalities <n, x> >= -c, the
 full facet/vertex incidence, and edges with the two facets meeting in each.
 Per-face lattice point counts follow in closed form from that incidence (gcd
@@ -68,7 +69,7 @@ def _sub(u, v):
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
-def _triangle_hull(pts: list[tuple[int, int, int]], first=()) -> dict[tuple, tuple]:
+def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
     """Beneath-beyond hull of integer points, as a closed triangle mesh.
 
     Returns {(a, b, c): (g, s)}: each triangle's corner indices with its
@@ -78,26 +79,25 @@ def _triangle_hull(pts: list[tuple[int, int, int]], first=()) -> dict[tuple, tup
     facet or an edge.  Coplanar triangles are merged into facets by the
     caller.
 
-    The indices in `first` go first, also when the seed tetrahedron is
-    drawn; the rest follow in index order.  The order sets the triangulation
-    and the cost, never the hull: when the first points are known vertices,
-    most later points lie beneath the hull and cost one visibility scan.
+    Points are inserted in list order, also when the seed tetrahedron is
+    drawn.  The order sets the triangulation and the cost, never the hull:
+    when the first points are known vertices, most later points lie beneath
+    the hull and cost one visibility scan.
     """
     n = len(pts)
-    order = [*first, *sorted(set(range(n)).difference(first))]
-    i0 = order[0] if n else 0
-    i1 = next((i for i in order if pts[i] != pts[i0]), None)
+    i0 = 0
+    i1 = next((i for i in range(n) if pts[i] != pts[i0]), None)
     if i1 is None:
         raise DegeneratePointSet("all points coincide")
     d01 = _sub(pts[i1], pts[i0])
     i2 = next(
-        (i for i in order if any(cross(d01, _sub(pts[i], pts[i0])))), None
+        (i for i in range(n) if any(cross(d01, _sub(pts[i], pts[i0])))), None
     )
     if i2 is None:
         raise DegeneratePointSet("points are collinear")
     normal = cross(d01, _sub(pts[i2], pts[i0]))
     i3 = next(
-        (i for i in order if vec_dot(normal, _sub(pts[i], pts[i0]))), None
+        (i for i in range(n) if vec_dot(normal, _sub(pts[i], pts[i0]))), None
     )
     if i3 is None:
         raise DegeneratePointSet("points are coplanar")
@@ -116,7 +116,7 @@ def _triangle_hull(pts: list[tuple[int, int, int]], first=()) -> dict[tuple, tup
     # (i0, i1, i2) faces away from i3; the other three share its orientation
     seed = [(i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)]
     faces = {f: plane(*f) for f in seed}
-    for m in order:
+    for m in range(n):
         if m in (i0, i1, i2, i3):
             continue
         x, y, z = pts[m]
@@ -315,12 +315,13 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
 
 
 def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
-    """The polytope of a sorted, duplicate-free cloud from its triangle mesh.
+    """The polytope of a duplicate-free cloud, in any order, from its
+    triangle mesh.
 
     `mesh` is :func:`_triangle_hull` of the cloud scaled by `scale` (the
-    cloud itself when `scale` is 1), in any insertion order.  Checks that
-    every facet has at least 3 vertices, that Euler's relation holds and
-    that every cloud point is contained, and raises AssertionError otherwise.
+    cloud itself when `scale` is 1).  Checks that every facet has at least
+    3 vertices, that Euler's relation holds and that every cloud point is
+    contained, and raises AssertionError otherwise.
     """
     # group the triangles by facet plane (inward form <n, x> >= -c, made
     # primitive by one gcd, which divides the offset as the corners are
@@ -336,9 +337,11 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
         owner[a, b] = owner[b, c] = owner[c, a] = f
 
     # a corner on three or more facet planes is a vertex (two facets of a
-    # 3-polytope share at most an edge); corner ids follow the sorted cloud
+    # 3-polytope share at most an edge), numbered in lexicographic order
     on_planes = Counter(i for plane in corners.values() for i in plane)
-    vertex_ids = sorted(i for i, k in on_planes.items() if k >= 3)
+    vertex_ids = sorted(
+        (i for i, k in on_planes.items() if k >= 3), key=cloud.__getitem__
+    )
     renumber = {old: new for new, old in enumerate(vertex_ids)}
     vertices = tuple(cloud[i] for i in vertex_ids)
 

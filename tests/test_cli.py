@@ -117,7 +117,7 @@ def test_verify_table_matches_golden(capsys, argv, golden, want_code):
 #: the searches of golden/search_sub.txt, in order, as (weights, depth)
 SEARCH_SUB_GOLDEN = (
     ("2,4,5,9", "3"), ("3,4,5,6", "3"), ("1,3,8,12", "2"), ("2,3,10,15", "2"),
-    ("1,1,1,1", "5"),
+    ("1,1,1,1", "5"), ("3,4,7,14", "2"),
 )
 
 

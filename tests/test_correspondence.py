@@ -399,7 +399,7 @@ def search_children(rows):
         root = common_delta(row)
         level = [(root, root.lattice_points)]
         for _ in range(2):
-            level = [c for s, pts in level for c in _children(s, pts)]
+            level = [c for s, pts in level for c in _children(s, pts, set())]
             children.update((child.vertices, child) for child, _ in level)
     return list(children.values())
 
@@ -560,9 +560,9 @@ def test_search_hull_calls_at_depth_two(rows, monkeypatch):
     deltas = [common_delta(row) for row in rows]
     meshes, polytopes = [], []
 
-    def counting_mesh(points, *order):
+    def counting_mesh(points):
         meshes.append(len(points))
-        return _triangle_hull(points, *order)
+        return _triangle_hull(points)
 
     def counting_build(cloud, scale, mesh):
         polytopes.append(len(cloud))
@@ -599,7 +599,7 @@ def test_children_match_hull_on_table_deltas(rows):
                 next_level = []
                 for state, points in level:
                     yielded = {}
-                    for child, rest in _children(state, points):
+                    for child, rest in _children(state, points, set()):
                         (v,) = set(points) - set(rest)
                         yielded[v] = child
                         next_level.append((child, rest))
@@ -678,7 +678,16 @@ def test_search_matches_mesh_walk_on_table_deltas(rows):
             walk_fields(root, max_depth=2)
 
 
-@pytest.mark.parametrize("weights", [(1, 1, 2, 2), (3, 4, 5, 6), (2, 2, 3, 5)])
+def test_search_matches_mesh_walk_at_depth_one(rows):
+    """The depth probe runs right after level 1, on the tried point sets
+    that level left."""
+    for row in rows:
+        walk_fields(common_delta(row), max_depth=1)
+
+
+@pytest.mark.parametrize(
+    "weights", [(1, 1, 2, 2), (3, 4, 5, 6), (2, 2, 3, 5), (3, 4, 7, 14)]
+)
 def test_search_matches_mesh_walk_on_newton_polytopes(weights):
     walk_fields(newton_polytope(WeightSystem.from_weights(weights)))
 
@@ -701,7 +710,7 @@ def test_opposite_edge_neighbours_certify_nothing():
     origin interior, so both children stay."""
     p = hull([(2, 0, 0), (-2, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
     points = p.lattice_points
-    deleted = [set(points) - set(rest) for _, rest in _children(p, points)]
+    deleted = [set(points) - set(rest) for _, rest in _children(p, points, set())]
     assert deleted == [{(-2, 0, 0)}, {(2, 0, 0)}]
     assert walk_fields(p)[1:] == (3, False)
 
@@ -713,9 +722,9 @@ def test_certified_rejections_lose_the_origin(rows, monkeypatch):
     rejected: all 134 are rejected without a mesh."""
     meshed = []
 
-    def recording_mesh(points, *order):
-        meshed.append(points)
-        return _triangle_hull(points, *order)
+    def recording_mesh(points):
+        meshed.append(set(points))
+        return _triangle_hull(points)
 
     monkeypatch.setattr(correspondence, "_triangle_hull", recording_mesh)
     certified = rejected = 0
@@ -726,12 +735,12 @@ def test_certified_rejections_lose_the_origin(rows, monkeypatch):
             next_level = []
             for state, points in level:
                 meshed.clear()
-                children = list(_children(state, points))
+                children = list(_children(state, points, set()))
                 rejected += len(state.vertices) - len(children)
                 next_level.extend(children)
                 for v in state.vertices:
                     rest = [q for q in points if q != v]
-                    if rest in meshed:
+                    if set(rest) in meshed:
                         continue
                     certified += 1
                     try:
