@@ -13,7 +13,7 @@ import sys
 
 from k3corr.correspondence import common_delta
 from k3corr.dataset import load_rows
-from k3corr.picard import dual_rho, picard_rank
+from k3corr.picard import picard_rank
 from k3corr.weights import newton_polytope
 
 
@@ -33,7 +33,7 @@ def main() -> int:
         ok = ok and bk.rho == row.rank and all(r == row.rank for r in newton_ranks)
         print(
             f"{row.key:12s} {row.lattice_label:12s} {row.rank:4d} {bk.rho:4d} "
-            f"{bk.toric_part:5d} {bk.correction:3d} {dual_rho(delta):4d}  "
+            f"{bk.toric_part:5d} {bk.correction:3d} {bk.dual_rho:4d}  "
             + " ".join(f"{i}:{r}" for i, r in zip(row.ids, newton_ranks))
         )
     print("-" * len(header))

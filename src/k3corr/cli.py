@@ -139,7 +139,7 @@ def cmd_picard(args) -> int:
     print(f"rho={bk.rho} toric={bk.toric_part} correction={bk.correction}")
     if args.format != "kv":
         print(f"dual lattice points: {bk.dual_points}")
-        print(f"rho of polar dual: {picard.dual_rho(p)}")
+        print(f"rho of polar dual: {bk.dual_rho}")
         for pair in bk.edge_pairs:
             if pair.contribution:
                 print(

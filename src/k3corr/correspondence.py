@@ -254,8 +254,8 @@ def _children(p: Polytope3, points, tried):
     with a and b among the deleted v's edge neighbours, has
     <n, v> < 0 <= <n, q> for all q in rest, a plane through the origin bounds
     the child, so the origin is not interior: the child is skipped with no
-    mesh.  Otherwise the mesh decides, and a degenerate rest or a triangle
-    with s <= 0 is skipped.
+    mesh.  Otherwise the built child decides: a degenerate rest, or a child
+    without the origin in its interior, is skipped.
     """
     inner = [q for q in points if q not in p.vertices]
     for k, v in enumerate(p.vertices):
@@ -274,11 +274,11 @@ def _children(p: Polytope3, points, tried):
                 break
         else:
             try:
-                mesh = _triangle_hull(rest)
+                child = _from_mesh(rest, 1, _triangle_hull(rest))
             except DegeneratePointSet:
                 continue
-            if all(s > 0 for _, s in mesh.values()):
-                yield _from_mesh(rest, 1, mesh), rest
+            if child.origin_interior:
+                yield child, rest
 
 
 def search_sub_reflexive(
@@ -296,9 +296,9 @@ def search_sub_reflexive(
     which ends it at once, or when a state of the last level has a child.
 
     _children rejects most children without the origin by a plane through
-    it, before any mesh; the mesh decides the others.  A point set tried at
-    any level is skipped: its child was rejected then or matches a kept
-    state now.  The depth probe shares the walk's set and still finds the
+    it, before any mesh; the built child decides the others.  A point set
+    tried at any level is skipped: its child was rejected then or matches a
+    kept state now.  The depth probe shares the walk's set and still finds the
     same children.  A child has one lattice point fewer than its parent, so
     a point set of one level never repeats at another; and `any` stops at
     the probe's first child, so every set the probe added before was

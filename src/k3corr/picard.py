@@ -48,6 +48,7 @@ class _PicardFields(NamedTuple):
     dual_points: int  # l(p*)
     dual_facet_interior: tuple[int, ...]  # l*(F*) per facet of p*
     edge_pairs: tuple[EdgePair, ...]
+    dual_rho: int  # rho of the polar dual's family
 
 
 class PicardBreakdown(_PicardFields):
@@ -62,7 +63,11 @@ class PicardBreakdown(_PicardFields):
 
 @lru_cache(maxsize=1024)
 def picard_rank(p: Polytope3) -> PicardBreakdown:
-    """Picard rank with its toric/correction split; p must be reflexive."""
+    """Picard rank with its toric/correction split; p must be reflexive.
+
+    `dual_rho` is p*'s rank: the same count with p and p* swapped (p** = p),
+    l(p) - 4 - sum of l*(F) over the facets F of p plus the same correction.
+    """
     try:
         reflexive = is_reflexive(p)
     except K3CorrError as exc:
@@ -99,15 +104,6 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
         dual_points=dual_points,
         dual_facet_interior=dcounts.per_facet,
         edge_pairs=pairs,
+        dual_rho=pcounts.boundary + 1 - 4 - sum(pcounts.per_facet) + correction,
     )
 
-
-def dual_rho(p: Polytope3) -> int:
-    """Picard rank of the polar dual p*, with no dual hull; p must be reflexive.
-
-    The module's count with p and p* swapped, using p** = p: l(p) - 4 - sum of
-    l*(F) over the facets F of p, plus the same edge-pair correction.
-    """
-    correction = picard_rank(p).correction
-    counts = p.face_counts
-    return counts.boundary + 1 - 4 - sum(counts.per_facet) + correction

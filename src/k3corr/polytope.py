@@ -1,30 +1,26 @@
 """Exact 3-dimensional polytopes over the rationals.
 
 A polytope is built once from a point cloud, after which it is immutable.
-`hull` does it in three steps: it makes the cloud canonical (sorted, distinct,
-exact), runs an incremental (beneath-beyond) convex hull over exact integers
-that gives a triangle mesh, and builds the polytope from that mesh.  A rational
-cloud is scaled by the lcm of its denominators; an integer cloud (every Newton
-polytope and search child) is hulled as it is, with no Fraction round trip.
-The mesh inserts the cloud in list order.  A search child's cloud is
-duplicate-free and integer already, and lists the parent's other vertices
-first (they are vertices of the child).  The search first drops a child
-whose points all lie on one side of a plane through the origin, as the
-origin is then not interior; when it finds no such plane, it runs the mesh
-step itself, drops a child whose mesh shows the origin outside its
-interior, and hands the rest to the same builder.  The builder takes the
-cloud in any order, numbers the mesh's planes once and checks what it
-reads: 3 or more vertices per facet, Euler's relation and every cloud point
-contained.  The mesh is the one source of the combinatorics: vertices in
-lexicographic order, facets as primitive inward inequalities <n, x> >= -c, the
-full facet/vertex incidence, and edges with the two facets meeting in each.
-Per-face lattice point counts follow in closed form from that incidence (gcd
-and Pick); read both ways, it gives the polar dual's counts with no dual hull.
-The lattice-point list is a cached column scan.  The columns of the
-vertex-facet pairing matrix <n, v> + c, each sorted, are the
-GL(3, Z)-invariant vertex signatures; sorted, they are the key that buckets
-polytopes before the exact equivalence test, which fits only vertex triples
-whose signatures match.
+`hull` does it in three steps: it makes the cloud exact and distinct, in the
+order given, runs an incremental (beneath-beyond) convex hull over exact
+integers that gives a triangle mesh, and builds the polytope from that mesh.
+A rational cloud is scaled by the lcm of its denominators; an integer cloud
+(every Newton polytope and search child) is hulled as it is, with no Fraction
+round trip.  The mesh inserts the cloud in list order, so the caller orders
+the points: the order sets the cost, never the result.  A search child's
+cloud, duplicate-free and integer already, goes to the mesh and the builder
+directly.  The builder takes the cloud in any order, numbers the mesh's
+planes once and checks what it reads: 3 or more vertices per facet, Euler's
+relation and every cloud point contained.  The mesh is the one source of the
+combinatorics: vertices in lexicographic order, facets as primitive inward
+inequalities <n, x> >= -c, the full facet/vertex incidence, and edges with the
+two facets meeting in each.  Per-face lattice point counts follow in closed
+form from that incidence (gcd and Pick); read both ways, it gives the polar
+dual's counts with no dual hull.  The lattice-point list is a cached column
+scan.  The columns of the vertex-facet pairing matrix <n, v> + c, each sorted,
+are the GL(3, Z)-invariant vertex signatures; sorted, they are the key that
+buckets polytopes before the exact equivalence test, which fits only vertex
+triples whose signatures match.
 """
 
 from __future__ import annotations
@@ -301,12 +297,14 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     sorted), primitive facet inequalities, incidence and edges, all read off
     the triangle mesh of :func:`_triangle_hull` by :func:`_from_mesh`.
     Raises DegeneratePointSet when the affine span has dimension < 3.
+    Points are inserted in the order given, the first of repeated points
+    kept: the order sets the cost, never the result.
 
     Rational points are scaled to integers by the lcm of their denominators,
     and offsets scaled back.  Integer points take no Fraction round trip: the
     scale is 1, the cloud is hulled as it is and the offsets stay ints.
     """
-    cloud = sorted({tuple(map(_exact, p)) for p in points})
+    cloud = list(dict.fromkeys(tuple(map(_exact, p)) for p in points))
     if len(cloud) < 4:
         raise DegeneratePointSet("need at least 4 distinct points")
     scale = lcm(*(c.denominator for p in cloud for c in p if type(c) is not int))
@@ -440,7 +438,9 @@ def unimodular_equivalent(p: Polytope3, q: Polytope3) -> Optional[tuple]:
 
 def parse_points_text(text: str) -> list[tuple]:
     """Read points from the plain text format: three numbers per line,
-    blank lines and ``#`` comments ignored.  Entries may be fractions."""
+    blank lines and ``#`` comments ignored.  Entries are integers, fractions
+    p/q or plain decimals.  Exponent notation is rejected: a short token such
+    as 1e100000000 stands for an integer too large to compute with."""
     pts = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -449,6 +449,8 @@ def parse_points_text(text: str) -> list[tuple]:
         parts = line.split()
         if len(parts) != 3:
             raise InputError(f"line {lineno}: expected 3 coordinates, got {raw!r}")
+        if "e" in line or "E" in line:
+            raise InputError(f"line {lineno}: exponent notation in {raw!r}")
         try:
             pts.append(tuple(_exact(Fraction(tok)) for tok in parts))
         except (ValueError, ZeroDivisionError) as exc:

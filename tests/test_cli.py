@@ -585,6 +585,28 @@ def test_point_file_that_is_not_utf8(tmp_path, capsys, command):
     assert "can't decode byte 0xe9" in err
 
 
+def test_exponent_notation_in_a_point_file_exits_at_once(tmp_path):
+    """1e100000000 would be a 100-million-digit integer; its line is refused
+    before its coordinates are parsed, on every Python version."""
+    import os
+    import subprocess
+    import sys
+
+    f = tmp_path / "huge.txt"
+    f.write_text("1 0 0\n0 1 0\n0 0 1e100000000\n-1 -1 -1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3corr.cli", "reflexive", str(f)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        f"error: {f}: line 3: exponent notation in '0 0 1e100000000'\n".encode()
+    )
+
+
 def test_every_exception_class_is_a_domain_error():
     """Every exception class k3corr defines is a K3CorrError, and still a
     ValueError; the InputErrors (exit 2) are exactly the input ones."""

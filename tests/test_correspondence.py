@@ -554,9 +554,9 @@ def test_search_stops_at_the_first_empty_level(rows_by_key, key):
 
 def test_search_hull_calls_at_depth_two(rows, monkeypatch):
     """A triangle mesh only for a new point set that no separating plane
-    rejects, and a polytope only for the children that keep the origin
-    interior; the depth probe stops at the first state of the last level
-    that has a child."""
+    rejects, and a polytope for every mesh, which then decides whether the
+    origin is interior; the depth probe stops at the first state of the last
+    level that has a child."""
     deltas = [common_delta(row) for row in rows]
     meshes, polytopes = [], []
 
@@ -686,9 +686,13 @@ def test_search_matches_mesh_walk_at_depth_one(rows):
 
 
 @pytest.mark.parametrize(
-    "weights", [(1, 1, 2, 2), (3, 4, 5, 6), (2, 2, 3, 5), (3, 4, 7, 14)]
+    "weights",
+    [(1, 1, 2, 2), (3, 4, 5, 6), (2, 2, 3, 5), (3, 4, 7, 14), (1, 3, 8, 12)],
 )
 def test_search_matches_mesh_walk_on_newton_polytopes(weights):
+    """mesh_walk still rejects children on their meshes; on (1, 3, 8, 12)
+    some children pass no separating plane and lack the origin, so the
+    built child's interior test decides them."""
     walk_fields(newton_polytope(WeightSystem.from_weights(weights)))
 
 

@@ -15,7 +15,6 @@ from k3corr.picard import (
     EdgePair,
     NotReflexive,
     PicardBreakdown,
-    dual_rho,
     picard_rank,
 )
 from k3corr.polytope import (
@@ -148,7 +147,8 @@ def test_edge_pairing_is_complete(rows_by_key):
 def reference_picard(p):
     """Reference breakdown by the route that hulls the polar dual: the dual's
     own face counts, and each dual edge matched to the edge of p where the
-    two facets named by its endpoints (normals n of facets (n, 1)) meet."""
+    two facets named by its endpoints (normals n of facets (n, 1)) meet.
+    The dual's rank counts l(p) by the column scan."""
     if not is_reflexive(p):
         raise NotReflexive("polytope is not reflexive")
     dual = polar_dual(p)
@@ -175,6 +175,7 @@ def reference_picard(p):
         dual_points=dual_points,
         dual_facet_interior=dcounts.per_facet,
         edge_pairs=tuple(pairs),
+        dual_rho=len(p.lattice_points) - 4 - sum(pcounts.per_facet) + correction,
     )
 
 
@@ -249,4 +250,4 @@ def test_dual_rho_matches_dual_hull(rows):
     rnd = random.Random(30518)
     for p in bases:
         for q in (p, transform(p, _random_unimodular(rnd))):
-            assert dual_rho(q) == picard_rank(polar_dual(q)).rho
+            assert picard_rank(q).dual_rho == picard_rank(polar_dual(q)).rho

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from k3corr import polytope
 from k3corr.intlinalg import (
     IllPosedWeights,
+    InputError,
     adjugate,
     cross,
     det,
@@ -212,8 +213,7 @@ rational_point_sets = st.lists(
 def test_from_mesh_matches_hull_in_any_insertion_order(points, data):
     """The order of the cloud changes only the triangulation: the builder,
     given the cloud in that order, still gives hull's polytope, and the
-    mesh's offsets are all positive exactly when the origin is interior,
-    which the search relies on for the clouds it orders."""
+    mesh's offsets are all positive exactly when the origin is interior."""
     cloud = data.draw(st.permutations(sorted(set(points))))
     try:
         mesh = polytope._triangle_hull(cloud)
@@ -224,6 +224,40 @@ def test_from_mesh_matches_hull_in_any_insertion_order(points, data):
     p = hull(points)
     assert polytope_fields(polytope._from_mesh(cloud, 1, mesh)) == polytope_fields(p)
     assert all(s > 0 for _, s in mesh.values()) == p.origin_interior
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(point_sets, rational_point_sets), st.data())
+def test_hull_of_a_shuffled_cloud_equals_hull_of_the_sorted_cloud(points, data):
+    """hull inserts its points in the order given, repeats and all: the
+    order sets the triangulation, never the polytope."""
+    shuffled = data.draw(st.permutations(points))
+    try:
+        want = hull(sorted(points))
+    except DegeneratePointSet:
+        with pytest.raises(DegeneratePointSet):
+            hull(shuffled)
+        return
+    assert polytope_fields(hull(shuffled)) == polytope_fields(want)
+
+
+def test_hull_meshes_the_distinct_points_in_first_occurrence_order(monkeypatch):
+    """Repeats, also an int against an equal Fraction, are dropped and the
+    first occurrence keeps its place; a rational cloud is scaled in place."""
+    meshed, real = [], polytope._triangle_hull
+
+    def spy(pts):
+        meshed.append(list(pts))
+        return real(pts)
+
+    monkeypatch.setattr(polytope, "_triangle_hull", spy)
+    half = Fraction(1, 2)
+    hull([(0, 0, 1), (1, 0, 0), (0, 0, 1), (-1, -1, -1), (Fraction(1), 0, 0), (0, 1, 0)])
+    hull([(0, half, 0), (-1, -1, -1), (0, half, 0), (1, 0, 0), (0, 0, 1), (1, 0, 0)])
+    assert meshed == [
+        [(0, 0, 1), (1, 0, 0), (-1, -1, -1), (0, 1, 0)],
+        [(0, 1, 0), (-2, -2, -2), (2, 0, 0), (0, 0, 2)],
+    ]
 
 
 @settings(max_examples=80, deadline=None)
@@ -930,3 +964,10 @@ def test_parse_points_text_errors():
         parse_points_text("1 2\n")
     with pytest.raises(ValueError):
         parse_points_text("a b c\n")
+    for token in ("1e100000000", "1E5", "2.5e-3"):
+        with pytest.raises(InputError, match=r"^line 2: exponent notation"):
+            parse_points_text(f"0 0 1\n1 0 {token}\n")
+
+
+def test_parse_points_text_plain_decimals():
+    assert parse_points_text("0.5 -1.25 3.\n") == [(Fraction(1, 2), Fraction(-5, 4), 3)]

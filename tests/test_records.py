@@ -38,7 +38,7 @@ RECORDS = {
     "RowRecord": _row,
     "EdgePair": lambda: EdgePair((0, 1), (2, 3), 1, 2),
     "PicardBreakdown": lambda: PicardBreakdown(
-        3, 1, 2, 9, (0, 1), (EdgePair((0, 1), (2, 3), 1, 2),)
+        3, 1, 2, 9, (0, 1), (EdgePair((0, 1), (2, 3), 1, 2),), 17
     ),
     "FaceCounts": lambda: FaceCounts(8, (1, 0, 0, 0), (0,) * 6),
     "Monomial": lambda: Monomial((1, 2, 0, 1)),
@@ -74,7 +74,7 @@ def test_monomial_rejects_a_bad_exponent_vector():
 
 def test_picard_breakdown_checks_its_split():
     with pytest.raises(AssertionError, match="toric part plus correction"):
-        PicardBreakdown(4, 1, 2, 9, (0, 1), ())
+        PicardBreakdown(4, 1, 2, 9, (0, 1), (), 16)
 
 
 @pytest.mark.parametrize(
