@@ -64,7 +64,8 @@ def cross(u: Sequence, v: Sequence) -> tuple:
 
 def det(m: Sequence[Sequence]):
     """Exact determinant of a 3x3 matrix (the triple product of its rows)."""
-    return vec_dot(m[0], cross(m[1], m[2]))
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = m
+    return ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
 
 
 def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
@@ -108,27 +109,38 @@ class NotIntegral(NotUnimodular):
 
 def independent_triple(points: Sequence[Sequence]) -> tuple[int, int, int]:
     """Indices of the first three linearly independent points."""
-    for trip in itertools.combinations(range(len(points)), 3):
-        if det(tuple(points[i] for i in trip)):
-            return trip
+    for i, j, k in itertools.combinations(range(len(points)), 3):
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = points[i], points[j], points[k]
+        if ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx):
+            return i, j, k
     raise RankDeficientSource("fewer than 3 independent source points")
 
 
 def fit_lattice_map(src: Sequence[Sequence], tgt: Sequence[Sequence]) -> IntMat:
     """The U in GL(3, Z) with U.s = t for every pair (s, t) of src and tgt.
 
-    Solves det(S) U = T adj(S) on the first independent triple S of src (as
-    columns) and its targets T, then checks every pair, integrality and the
-    determinant; anything else is an error, never a best fit.
+    Solves det(S) U = T adj(S) by Cramer's rule on the first independent
+    triple a, b, c of src (the columns of S) and its targets (the columns of
+    T), written out in integers: the rows of adj(S) are b x c, c x a and
+    a x b, det(S) = <a, b x c>, and row i of T adj(S) is the sum of the
+    targets' i-th entries times those rows.  Then checks every pair,
+    integrality and the determinant; anything else is an error, never a
+    best fit.
     """
-    trip = independent_triple(src)
-    s = transpose(tuple(src[i] for i in trip))
-    d = det(s)
-    scaled = mat_mul(transpose(tuple(tgt[i] for i in trip)), adjugate(s))
+    i, j, k = independent_triple(src)
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = src[i], src[j], src[k]
+    p0, p1, p2 = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+    q0, q1, q2 = cy * az - cz * ay, cz * ax - cx * az, cx * ay - cy * ax
+    r0, r1, r2 = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    d = ax * p0 + ay * p1 + az * p2
+    scaled = [
+        (u * p0 + v * q0 + w * r0, u * p1 + v * q1 + w * r1, u * p2 + v * q2 + w * r2)
+        for u, v, w in zip(tgt[i], tgt[j], tgt[k])
+    ]
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = scaled
     bad = [
-        j
-        for j, ((x, y, z), (tx, ty, tz)) in enumerate(zip(src, tgt, strict=True))
+        n
+        for n, ((x, y, z), (tx, ty, tz)) in enumerate(zip(src, tgt, strict=True))
         if a0 * x + a1 * y + a2 * z != d * tx
         or b0 * x + b1 * y + b2 * z != d * ty
         or c0 * x + c1 * y + c2 * z != d * tz

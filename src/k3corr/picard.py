@@ -84,26 +84,17 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
         [n for n, _ in p.facets], p.edge_facets, p.edges, p.vertices
     )
     pcounts = p.face_counts
-    pairs = tuple(
-        EdgePair(
-            dual_edge=p.edge_facets[k],
-            edge=p.edges[k],
-            interior_dual=dcounts.per_edge[k],
-            interior=pcounts.per_edge[k],
-        )
-        for k in sorted(range(p.n_edges), key=p.edge_facets.__getitem__)
-    )
+    # sorted by dual edge (a facet pair no other edge has) and built
+    # positionally: keyword construction costs a quarter of the call
+    pairs = tuple(map(EdgePair._make, sorted(
+        zip(p.edge_facets, p.edges, dcounts.per_edge, pcounts.per_edge)
+    )))
     # the origin is the only interior lattice point of the reflexive dual
     dual_points = dcounts.boundary + 1
     toric = dual_points - 4 - sum(dcounts.per_facet)
-    correction = sum(pair.contribution for pair in pairs)
+    correction = sum(a * b for a, b in zip(dcounts.per_edge, pcounts.per_edge))
+    rho = toric + correction
+    dual_rho = pcounts.boundary + 1 - 4 - sum(pcounts.per_facet) + correction
     return PicardBreakdown(
-        rho=toric + correction,
-        toric_part=toric,
-        correction=correction,
-        dual_points=dual_points,
-        dual_facet_interior=dcounts.per_facet,
-        edge_pairs=pairs,
-        dual_rho=pcounts.boundary + 1 - 4 - sum(pcounts.per_facet) + correction,
+        rho, toric, correction, dual_points, dcounts.per_facet, pairs, dual_rho
     )
-

@@ -16,16 +16,17 @@ combinatorics: vertices in lexicographic order, facets as primitive inward
 inequalities <n, x> >= -c, the full facet/vertex incidence, and edges with the
 two facets meeting in each.  Per-face lattice point counts follow in closed
 form from that incidence (gcd and Pick); read both ways, it gives the polar
-dual's counts with no dual hull.  The lattice-point list is a cached column
-scan.  The columns of the vertex-facet pairing matrix <n, v> + c, each sorted,
-are the GL(3, Z)-invariant vertex signatures; sorted, they are the key that
-buckets polytopes before the exact equivalence test, which fits only vertex
-triples whose signatures match.
+dual's counts with no dual hull.  The lattice-point list is a cached scan of
+the columns under the polytope's shadow.  The columns of the vertex-facet
+pairing matrix <n, v> + c, each sorted, are the GL(3, Z)-invariant vertex
+signatures; sorted, they are the key that buckets polytopes before the exact
+equivalence test, which fits only vertex triples whose signatures match.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
@@ -194,11 +195,18 @@ class Polytope3:
     def lattice_points(self) -> tuple[tuple[int, int, int], ...]:
         """All integer points of the polytope, in lexicographic order.
 
-        Scans the (x, y) columns of the bounding box.  With every offset
-        scaled by the lcm L of their denominators, a facet (n, c) reads
-        L n_z z >= -(L c + L n_x x + L n_y y) over the integers, so each
-        column's z-interval is an exact integer ceil/floor division; facets
-        with n_z = 0 cut whole columns.
+        Scans the (x, y) columns under the polytope's shadow, not its
+        bounding box.  The slice at X = x is a polygon whose corners lie on
+        edges, so its y-range runs from the least to the greatest y at which
+        an edge meets that plane.  Every column in that range meets the
+        polytope, so facets parallel to the z-axis cut none of them.
+        An edge that leaves the plane meets it in one y, whose ceil and
+        floor are exact floor divisions, of ints for a lattice polytope and
+        of Fractions otherwise.  An edge with equal x at both ends adds
+        nothing: each of its ends also ends an edge that leaves the plane.
+        With every offset scaled by the lcm L of their denominators, a facet
+        (n, c) reads L n_z z >= -(L c + L n_x x + L n_y y) over the integers,
+        so each column's z-interval is an exact integer ceil/floor division.
         """
         scale = lcm(*(Fraction(c).denominator for _, c in self.facets))
         rows = [
@@ -207,13 +215,25 @@ class Polytope3:
         ]
         floors = [r for r in rows if r[2] > 0]  # lower bounds on z
         ceilings = [r for r in rows if r[2] < 0]  # upper bounds on z
-        walls = [r for r in rows if r[2] == 0]
-        xs, ys, _ = zip(*self.vertices)
+        verts = self.vertices
+        shadow: dict[int, list[int]] = {}  # x -> [least y, greatest y]
+        for i, j in self.edges:
+            (ux, uy, _), (vx, vy, _) = sorted((verts[i], verts[j]))
+            dx, dy = vx - ux, vy - uy
+            if not dx:
+                continue
+            for x in range(ceil(ux), floor(vx) + 1):
+                num = uy * dx + (x - ux) * dy  # y = num / dx
+                lo, hi = -(-num // dx), num // dx
+                span = shadow.setdefault(x, [lo, hi])
+                if lo < span[0]:
+                    span[0] = lo
+                if hi > span[1]:
+                    span[1] = hi
         points = []
-        for x in range(ceil(min(xs)), floor(max(xs)) + 1):
-            for y in range(ceil(min(ys)), floor(max(ys)) + 1):
-                if any(a * x + b * y < -c for a, b, _, c in walls):
-                    continue
+        for x in sorted(shadow):
+            ylo, yhi = shadow[x]
+            for y in range(ylo, yhi + 1):
                 lo = max(-((c + a * x + b * y) // d) for a, b, d, c in floors)
                 hi = min((c + a * x + b * y) // -d for a, b, d, c in ceilings)
                 points.extend((x, y, z) for z in range(lo, hi + 1))
@@ -267,10 +287,12 @@ def pick_counts(points, edges, edge_faces, normals) -> FaceCounts:
     / n.n over its edges (a fan from v0, the first edge endpoint met on the
     facet), so Pick gives (2A - B + 2)/2 interior points.
     """
-    steps = [gcd(*_sub(points[j], points[i])) for i, j in edges]
+    steps = []
     rim, area2, anchor = [0] * len(normals), [0] * len(normals), {}
-    for (i, j), g, faces in zip(edges, steps, edge_faces):
+    for (i, j), faces in zip(edges, edge_faces):
         p, q = points[i], points[j]
+        g = gcd(q[0] - p[0], q[1] - p[1], q[2] - p[2])
+        steps.append(g)
         for f in faces:
             rim[f] += g
             v0 = anchor.setdefault(f, p)
@@ -436,11 +458,19 @@ def unimodular_equivalent(p: Polytope3, q: Polytope3) -> Optional[tuple]:
 # -- polytope text format ----------------------------------------------------
 
 
+#: an integer, a fraction p/q with q > 0 or a plain decimal, in ASCII
+#: digits: Fraction alone would also take digit-group underscores (on some
+#: Python versions only) and non-ASCII digits.  Compiled on first use, not
+#: on import.
+_COORDINATE = r"[+-]?([0-9]+(/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)"
+
+
 def parse_points_text(text: str) -> list[tuple]:
     """Read points from the plain text format: three numbers per line,
     blank lines and ``#`` comments ignored.  Entries are integers, fractions
-    p/q or plain decimals.  Exponent notation is rejected: a short token such
-    as 1e100000000 stands for an integer too large to compute with."""
+    p/q or plain decimals, and nothing else on any Python version.  Exponent
+    notation is rejected: a short token such as 1e100000000 stands for an
+    integer too large to compute with."""
     pts = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -452,8 +482,11 @@ def parse_points_text(text: str) -> list[tuple]:
         if "e" in line or "E" in line:
             raise InputError(f"line {lineno}: exponent notation in {raw!r}")
         try:
+            if not all(re.fullmatch(_COORDINATE, tok) for tok in parts):
+                raise ValueError("not an integer, fraction or plain decimal")
+            # Fraction still refuses an integer past the int-string digit limit
             pts.append(tuple(_exact(Fraction(tok)) for tok in parts))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InputError(f"line {lineno}: bad coordinate in {raw!r}") from exc
     return pts
 

@@ -133,7 +133,9 @@ class WeightSystem(_WeightFields):
         return tuple(self.a[self.perm.index(i)] for i in range(4))
 
     def weighted_degree(self, m: Monomial) -> int:
-        return sum(w * k for w, k in zip(self.input_weights, m.e))
+        w0, w1, w2, w3 = self.input_weights
+        e0, e1, e2, e3 = m.e
+        return w0 * e0 + w1 * e1 + w2 * e2 + w3 * e3
 
     def exponent_point(self, e: Sequence[int]) -> IntVec:
         """Lattice coordinates of e - (1,1,1,1) for a sorted exponent vector e

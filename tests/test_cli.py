@@ -607,6 +607,25 @@ def test_exponent_notation_in_a_point_file_exits_at_once(tmp_path):
     )
 
 
+@pytest.mark.parametrize("token", ["1_0", "1_0/3", "0.5_0", "١٢"])
+def test_point_file_coordinates_outside_the_ascii_forms(tmp_path, capsys, token):
+    """Digit-group underscores and non-ASCII digits are bad coordinates on
+    every Python version, though ``Fraction`` reads some of them on some."""
+    f = tmp_path / "odd.txt"
+    f.write_text(f"1 0 0\n0 1 0\n0 0 {token}\n-1 -1 -1\n", encoding="utf-8")
+    code, out, err = run(capsys, "points", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: {f}: line 3: bad coordinate in '0 0 {token}'\n"
+
+
+def test_points_of_a_sheared_simplex_match_golden(capsys):
+    """The lattice points of a GL(3, Z) image of the quartic simplex, whose
+    shadow is a thin slanted strip of its bounding box, byte for byte."""
+    code, out, err = run(capsys, "points", str(GOLDEN / "sheared_simplex.txt"))
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "sheared_simplex_points.txt").read_bytes()
+
+
 def test_every_exception_class_is_a_domain_error():
     """Every exception class k3corr defines is a K3CorrError, and still a
     ValueError; the InputErrors (exit 2) are exactly the input ones."""

@@ -6,6 +6,7 @@ used by the implementation.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, lcm
 
@@ -42,6 +43,8 @@ from k3corr.polytope import (
     unimodular_equivalent,
 )
 from k3corr.weights import WeightSystem, anticanonical_points, newton_polytope
+
+F = Fraction
 
 
 def cube():
@@ -581,6 +584,15 @@ def test_lattice_points_match_box_scan_on_table(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(point_sets, st.randoms(use_true_random=False))
+# the slice at x = 0 is the edge (0,-2,0)-(0,3,1), at constant x
+@example([(0, -2, 0), (0, 3, 1), (4, 0, -1), (2, 1, 3)], random.Random(0))
+# a prism: its facets with n_z = 0 bound the shadow, the columns just past
+# them hold a whole z-range, and its crossings fall between integers
+@example(
+    [(0, 0, 0), (4, 1, 0), (1, 3, 0), (0, 0, 1), (4, 1, 1), (1, 3, 1)], random.Random(0)
+)
+# the slice at x = 3 is the vertex (3, 1, 0) alone
+@example([(3, 1, 0), (0, -2, -2), (0, 3, -1), (-1, 0, 2)], random.Random(0))
 def test_lattice_points_match_box_scan_on_random_hulls(points, rnd):
     try:
         p = hull(points)
@@ -595,6 +607,17 @@ def test_lattice_points_match_box_scan_on_random_hulls(points, rnd):
 @settings(max_examples=60, deadline=None)
 @given(rational_point_sets)
 @example([(Fraction(1, 2), 0, 0), (0, Fraction(1, 3), 0), (0, 0, 1), (-1, -1, -1)])
+# the slice at x = 1 is an edge with rational ends holding (1,0,0) and (1,2,1)
+@example([(1, F(-1, 2), F(-1, 4)), (1, F(5, 2), F(5, 4)), (F(9, 2), F(1, 3), F(-5, 2)),
+          (F(7, 2), F(7, 3), F(7, 2))])
+# a rational prism, its shadow bounded by facets with n_z = 0
+@example([(F(1, 2), 0, F(-1, 2)), (F(9, 2), 1, F(-1, 2)), (1, F(10, 3), F(-1, 2)),
+          (F(1, 2), 0, F(3, 2)), (F(9, 2), 1, F(3, 2)), (1, F(10, 3), F(3, 2))])
+# no vertex at an integer x, so every crossing is a rational y
+@example([(F(-3, 2), -7, 0), (F(15, 2), 1, -3), (1, F(33, 4), 6),
+          (F(9, 2), F(-3, 2), F(-15, 2)), (F(3, 5), F(3, 7), F(3, 2))])
+# the slice at x = 3 is the vertex (3, 1/2, 0) alone, holding no lattice point
+@example([(3, F(1, 2), 0), (0, -2, -2), (0, 3, -1), (-1, 0, 2)])
 def test_lattice_points_match_box_scan_on_rational_hulls(points):
     try:
         p = hull(points)
