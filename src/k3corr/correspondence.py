@@ -8,6 +8,9 @@ containment in every Newton polytope the exact fits already prove), the
 full verification report, the bold-column exchange checks, and the
 vertex-deletion search for reflexive subpolytopes.  A row's swaps share the
 cached column points of each weight and the cached hull of weight 0's points.
+A family whose anticanonical-point count equals l(common polytope), and
+whose fit from weight 0 succeeded, has the common polytope's image as its
+Newton polytope, so its rank is read off the common polytope with no hull.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .polytope import (
     is_reflexive,
     unimodular_equivalent,
 )
-from .weights import WeightSystem, newton_polytope
+from .weights import WeightSystem, anticanonical_points, newton_polytope
 
 
 def _column_points(row: RowRecord, weight_idx: int) -> tuple:
@@ -42,6 +45,12 @@ def _column_points(row: RowRecord, weight_idx: int) -> tuple:
 def _monomial_points(ws: WeightSystem, monomials: tuple) -> tuple:
     """The points of one weight's column, shared by every row that has it."""
     return tuple(ws.monomial_point(m) for m in monomials)
+
+
+@lru_cache(maxsize=1024)
+def _point_count(ws: WeightSystem) -> int:
+    """The number of anticanonical points of one weight system."""
+    return len(anticanonical_points(ws))
 
 
 @lru_cache(maxsize=1024)
@@ -140,7 +149,19 @@ def _run(checks: list[CheckResult], name: str, fn):
 
 
 def verify_row(row: RowRecord) -> VerificationReport:
-    """Run every check of the row contract; failures become report entries."""
+    """Run every check of the row contract; failures become report entries.
+
+    The rank of weight k's Newton polytope N_k is rho(delta), with no hull,
+    when weight k has a fit U_k (k = 0 with U_0 the identity, or
+    derive_iso(row, 0, k) succeeded) and exactly l(delta) anticanonical
+    points.  U_k(delta) lies in N_k (see common_delta), U_k is in GL(3, Z),
+    and the lattice points of N_k are exactly weight k's anticanonical
+    points, so U_k(delta ∩ Z^3), which has l(delta) points, is all of
+    N_k ∩ Z^3.  Both are lattice polytopes, hence N_k = U_k(delta), and a
+    lattice map keeps rho.  delta is reflexive, so the origin is its one
+    interior point and l(delta) is its boundary count plus 1.  Otherwise
+    N_k is hulled.
+    """
     checks = [
         CheckResult(
             f"degree[{i}]=sum(weights)", d == ws.d, f"printed {d}, weights give {ws.d}"
@@ -162,11 +183,12 @@ def verify_row(row: RowRecord) -> VerificationReport:
         name = f"iso[{row.ids[j]}->{row.ids[k]}]"
         return name, _run(checks, name, lambda: derive_iso(row, j, k))
 
-    def rank(label, polytope):
-        rho = _run(checks, f"rank({label})", lambda: picard_rank(polytope()).rho)
+    def rank(label, rho_of):
+        rho = _run(checks, f"rank({label})", rho_of)
         if rho is not None:
             name = f"rank({label})={row.rank}"
             checks.append(CheckResult(name, rho == row.rank, f"computed {rho}"))
+        return rho
 
     isos = {}
     for k in range(1, row.n_weights):
@@ -187,9 +209,13 @@ def verify_row(row: RowRecord) -> VerificationReport:
 
     delta = _run(checks, "common-delta reflexive+contained", lambda: common_delta(row))
     if delta is not None:
-        rank("delta", lambda: delta)
-        for i, ws in zip(row.ids, row.weights):
-            rank(f"newton[{i}]", lambda: newton_polytope(ws))
+        rho = rank("delta", lambda: picard_rank(delta).rho)
+        points = delta.face_counts.boundary + 1
+        for k, (i, ws) in enumerate(zip(row.ids, row.weights)):
+            if rho is not None and (k == 0 or k in isos) and _point_count(ws) == points:
+                rank(f"newton[{i}]", lambda: rho)
+            else:
+                rank(f"newton[{i}]", lambda: picard_rank(newton_polytope(ws)).rho)
     return VerificationReport(row.key, tuple(checks))
 
 

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from k3corr.correspondence import (
     verify_row,
     verify_swaps,
 )
-from k3corr.dataset import RowRecord
+from k3corr.dataset import RowRecord, load_rows
 from k3corr.intlinalg import (
     InconsistentPairs,
     RankDeficientSource,
@@ -86,16 +87,20 @@ def test_derive_iso_identity_row():
     assert derive_iso(row, 0, 1) == identity(3)
 
 
-def test_derive_iso_inverse_and_composition(rows_by_key):
-    row = rows_by_key["14-28-45-51"]
-    fwd = derive_iso(row, 0, 1)
-    back = derive_iso(row, 1, 0)
-    assert mat_mul(fwd, back) == identity(3)
-    assert mat_mul(back, fwd) == identity(3)
-    # a -> b -> c equals a -> c
-    bc = derive_iso(row, 1, 2)
-    ac = derive_iso(row, 0, 2)
-    assert mat_mul(bc, fwd) == ac
+def test_derive_iso_inverse_and_composition(rows):
+    """A map fitted exactly on columns that span is unique: on every shipped
+    and swapped row, the reverse fit is the inverse, and the direct j -> k
+    fit is the composite through weight 0."""
+    swapped = [s for row in rows for _, _, s in _swaps(row)]
+    for row in list(rows) + swapped:
+        fits = {k: derive_iso(row, 0, k) for k in range(1, row.n_weights)}
+        for k, fwd in fits.items():
+            back = derive_iso(row, k, 0)
+            assert mat_mul(fwd, back) == identity(3)
+            assert mat_mul(back, fwd) == identity(3)
+        for j, k in itertools.combinations(fits, 2):
+            assert mat_mul(derive_iso(row, j, k), fits[j]) == fits[k]
+    assert len(swapped) == 17
 
 
 def test_derive_iso_all_pairs_all_rows(rows):
@@ -214,11 +219,21 @@ def test_bold_columns_are_those_the_automorphisms_move(rows):
     }
 
 
+#: the sorted weights of the table's families whose Newton polytope has one
+#: lattice point more than the row's common polytope, a vertex
+EXTRA_VERTEX_FAMILIES = {
+    (1, 3, 8, 12), (1, 4, 5, 10), (2, 4, 5, 9), (2, 5, 6, 13), (2, 6, 7, 15),
+    (3, 4, 11, 18), (3, 5, 6, 7), (3, 5, 16, 24), (3, 6, 7, 8), (5, 7, 8, 20),
+}
+
+
 def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
     """From cold caches, one verify_row and verify_swaps pass over the table
-    hulls 50 point sets: the 34 distinct weight systems' Newton polytopes
-    and the 16 rows' common polytopes, which every swapped row shares (a
-    swap only permutes one weight's column, so weight 0's point set stays)."""
+    hulls 26 point sets: the Newton polytopes of the 10 families with an
+    extra vertex, and the 16 rows' common polytopes, which every swapped row
+    shares (a swap only permutes one weight's column, so weight 0's point
+    set stays).  Every other family's rank is read off its row's common
+    polytope."""
     from k3corr import weights
 
     for cached in (
@@ -226,6 +241,7 @@ def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
         newton_polytope,
         picard_rank,
         correspondence._monomial_points,
+        correspondence._point_count,
         correspondence._point_set_hull,
     ):
         cached.cache_clear()
@@ -236,13 +252,74 @@ def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
             return real(points)
 
         monkeypatch.setattr(module, "hull", counting)
+    asked = set()
+
+    def recording(ws, real=correspondence.newton_polytope):
+        asked.add(ws.a)
+        return real(ws)
+
+    monkeypatch.setattr(correspondence, "newton_polytope", recording)
     for row in rows:
         verify_row(row)
         verify_swaps(row)
-    assert calls == {"k3corr.weights": 34, "k3corr.correspondence": 16}
+    assert calls == {"k3corr.weights": 10, "k3corr.correspondence": 16}
+    assert asked == EXTRA_VERTEX_FAMILIES
     for row in rows:
         for _, _, swapped in _swaps(row):
             assert common_delta(swapped).vertices == common_delta(row).vertices
+
+
+def test_newton_rank_shortcut_matches_the_hull(rows):
+    """The oracle for verify_row's shortcut, on every shipped and swapped
+    row.  Where weight k has l(delta) anticanonical points, its Newton
+    polytope is delta's image under the fit, field by field, with the same
+    rank; elsewhere it has exactly one lattice point more, a vertex."""
+    swapped = [s for row in rows for _, _, s in _swaps(row)]
+    assert len(swapped) == 17
+    extra = set()
+    for row in list(rows) + swapped:
+        delta = common_delta(row)
+        points = delta.face_counts.boundary + 1
+        assert points == len(delta.lattice_points)
+        for k, ws in enumerate(row.weights):
+            newton = newton_polytope(ws)
+            count = correspondence._point_count(ws)
+            assert count == len(newton.lattice_points)
+            u = derive_iso(row, 0, k)
+            if count == points:
+                image = transform(delta, u)
+                assert polytope_fields(newton) == polytope_fields(image)
+                assert picard_rank(newton).rho == picard_rank(image).rho
+            else:
+                assert count == points + 1
+                image = {mat_vec(u, q) for q in delta.lattice_points}
+                (q,) = set(newton.lattice_points) - image
+                assert q in newton.vertices
+                extra.add(ws.a)
+    assert extra == EXTRA_VERTEX_FAMILIES
+
+
+@pytest.mark.parametrize("key, failed", [("9-71", 71), ("14-28-45-51", 28)])
+def test_failed_fit_hulls_the_newton_polytope(key, failed, monkeypatch):
+    """On broken_table.json's rows whose fit fails, the weight without a fit
+    has l(delta) anticanonical points, yet its rank still comes from its
+    hull."""
+    rows = load_rows(str(Path(__file__).parent / "golden" / "broken_table.json"))
+    row = next(row for row in rows if row.key == key)
+    ws = row.weights[row.ids.index(failed)]
+    delta = common_delta(row)
+    assert correspondence._point_count(ws) == delta.face_counts.boundary + 1
+    calls = Counter()
+
+    def counting(ws, real=correspondence.newton_polytope):
+        calls[ws] += 1
+        return real(ws)
+
+    monkeypatch.setattr(correspondence, "newton_polytope", counting)
+    checks = verify_row(row).checks
+    assert f"iso[{row.ids[0]}->{failed}]" in [c.name for c in checks if not c.passed]
+    assert f"rank(newton[{failed}])={row.rank}" in [c.name for c in checks if c.passed]
+    assert calls[ws] == 1
 
 
 def test_figure2_containment(rows_by_key):
