@@ -20,9 +20,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .dataset import RowRecord
-from .intlinalg import InconsistentPairs, IntMat, K3CorrError, NotUnimodular, cross
+from .intlinalg import InconsistentPairs, IntMat, K3CorrError, NotUnimodular
 from .intlinalg import RankDeficientSource, fit_lattice_map, identity, is_unimodular
-from .intlinalg import det, mat_mul, vec_dot
+from .intlinalg import det, mat_mul
 from .picard import picard_rank
 from .polytope import (
     DegeneratePointSet,
@@ -291,12 +291,13 @@ def _children(p: Polytope3, points, tried):
             continue
         tried.add(key)
         ws = [p.vertices[i + j - k] for i, j in p.edges if k in (i, j)]
-        for a, b in itertools.combinations(ws, 2):
-            n = cross(a, b)
-            side = vec_dot(n, v)
+        vx, vy, vz = v
+        for (ax, ay, az), (bx, by, bz) in itertools.combinations(ws, 2):
+            nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+            side = nx * vx + ny * vy + nz * vz
             if side > 0:
-                n = (-n[0], -n[1], -n[2])
-            if side and all(n[0] * x + n[1] * y + n[2] * z >= 0 for x, y, z in rest):
+                nx, ny, nz = -nx, -ny, -nz
+            if side and all(nx * x + ny * y + nz * z >= 0 for x, y, z in rest):
                 break
         else:
             try:

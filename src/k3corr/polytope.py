@@ -3,31 +3,33 @@
 A polytope is built once from a point cloud, after which it is immutable.
 `hull` does it in three steps: it makes the cloud exact and distinct, in the
 order given, runs an incremental (beneath-beyond) convex hull over exact
-integers that gives a triangle mesh, and builds the polytope from that mesh.
+integers that gives a triangle mesh, each triangle one flat record (gx, gy,
+gz, s) of its outward normal and offset, and builds the polytope from it.
 A rational cloud is scaled by the lcm of its denominators; an integer cloud
 (every Newton polytope and search child) is hulled as it is, with no Fraction
 round trip.  The mesh inserts the cloud in list order, so the caller orders
 the points: the order sets the cost, never the result.  A search child's
 cloud, duplicate-free and integer already, goes to the mesh and the builder
-directly.  The builder takes the cloud in any order, numbers the mesh's
-planes once and checks what it reads: 3 or more vertices per facet, Euler's
-relation and every cloud point contained.  The mesh is the one source of the
-combinatorics: vertices in lexicographic order, facets as primitive inward
-inequalities <n, x> >= -c, the full facet/vertex incidence, and edges with the
-two facets meeting in each.  Per-face lattice point counts follow in closed
-form from that incidence (gcd and Pick); read both ways, it gives the polar
-dual's counts with no dual hull.  The lattice-point list is a cached scan of
-the columns under the polytope's shadow.  The columns of the vertex-facet
-pairing matrix <n, v> + c, each sorted, are the GL(3, Z)-invariant vertex
-signatures; sorted, they are the key that buckets polytopes before the exact
-equivalence test, which fits only vertex triples whose signatures match.
+directly.  The builder takes the cloud in any order and reads the mesh in one
+pass: it numbers the planes once, finds the vertices in one membership pass
+over the planes' corner sets, and checks what it reads: 3 or more vertices per
+facet, Euler's relation and every cloud point contained.  The mesh is the one
+source of the combinatorics: vertices in lexicographic order, facets as
+primitive inward inequalities <n, x> >= -c, the full facet/vertex incidence,
+and edges with the two facets meeting in each.  Per-face lattice point counts
+follow in closed form from that incidence (gcd and Pick); read both ways, it
+gives the polar dual's counts with no dual hull.  The lattice-point list is a
+cached scan of the columns under the polytope's shadow.  The columns of the
+vertex-facet pairing matrix <n, v> + c, each sorted, are the
+GL(3, Z)-invariant vertex signatures; sorted, they are the key that buckets
+polytopes before the exact equivalence test, which fits only vertex triples
+whose signatures match.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, lcm
@@ -37,11 +39,9 @@ from .intlinalg import (
     InputError,
     K3CorrError,
     NotUnimodular,
-    cross,
     fit_lattice_map,
     independent_triple,
     mat_vec,
-    vec_dot,
 )
 
 Point = tuple  # 3-tuple of int | Fraction
@@ -62,43 +62,47 @@ def _exact(x) -> int | Fraction:
     return int(f) if f.denominator == 1 else f
 
 
-def _sub(u, v):
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
 def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
     """Beneath-beyond hull of integer points, as a closed triangle mesh.
 
-    Returns {(a, b, c): (g, s)}: each triangle's corner indices with its
-    outward normal g = (b-a) x (c-a) and offset s = <g, a>, computed once when
-    the triangle is made.  A point sees a triangle when <g, p> > s; points on
-    or inside the current hull are skipped, so a corner may lie inside a
-    facet or an edge.  Coplanar triangles are merged into facets by the
-    caller.
+    Returns {(a, b, c): (gx, gy, gz, s)}: each triangle's corner indices
+    with its outward normal g = (b-a) x (c-a) and offset s = <g, a>, one flat
+    record computed once when the triangle is made.  A point sees a
+    triangle when <g, p> > s; points on or inside the current hull are
+    skipped, so a corner may lie inside a facet or an edge.  Coplanar
+    triangles are merged into facets by the caller.
 
     Points are inserted in list order, also when the seed tetrahedron is
-    drawn.  The order sets the triangulation and the cost, never the hull:
-    when the first points are known vertices, most later points lie beneath
-    the hull and cost one visibility scan.
+    drawn: the first point, the first point apart from it, the first one off
+    their line (a nonzero cross product, written out) and the first one off
+    that plane.  The order sets the triangulation and the cost, never the
+    hull: when the first points are known vertices, most later points lie
+    beneath the hull and cost one visibility scan.
     """
     n = len(pts)
-    i0 = 0
-    i1 = next((i for i in range(n) if pts[i] != pts[i0]), None)
+    i1 = next((i for i in range(1, n) if pts[i] != pts[0]), None)
     if i1 is None:
         raise DegeneratePointSet("all points coincide")
-    d01 = _sub(pts[i1], pts[i0])
-    i2 = next(
-        (i for i in range(n) if any(cross(d01, _sub(pts[i], pts[i0])))), None
-    )
-    if i2 is None:
+    ox, oy, oz = pts[0]
+    x, y, z = pts[i1]
+    ux, uy, uz = x - ox, y - oy, z - oz
+    for i2 in range(i1 + 1, n):
+        x, y, z = pts[i2]
+        vx, vy, vz = x - ox, y - oy, z - oz
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        if nx or ny or nz:
+            break
+    else:
         raise DegeneratePointSet("points are collinear")
-    normal = cross(d01, _sub(pts[i2], pts[i0]))
-    i3 = next(
-        (i for i in range(n) if vec_dot(normal, _sub(pts[i], pts[i0]))), None
-    )
-    if i3 is None:
+    s0 = nx * ox + ny * oy + nz * oz
+    for i3 in range(i2 + 1, n):
+        x, y, z = pts[i3]
+        side = nx * x + ny * y + nz * z - s0
+        if side:
+            break
+    else:
         raise DegeneratePointSet("points are coplanar")
-    if vec_dot(normal, _sub(pts[i3], pts[i0])) > 0:
+    if side > 0:
         i1, i2 = i2, i1
 
     def plane(a, b, c):
@@ -108,19 +112,17 @@ def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
         ux, uy, uz = bx - ax, by - ay, bz - az
         vx, vy, vz = cx - ax, cy - ay, cz - az
         gx, gy, gz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-        return (gx, gy, gz), gx * ax + gy * ay + gz * az
+        return gx, gy, gz, gx * ax + gy * ay + gz * az
 
-    # (i0, i1, i2) faces away from i3; the other three share its orientation
-    seed = [(i0, i1, i2), (i0, i3, i1), (i1, i3, i2), (i2, i3, i0)]
+    # (0, i1, i2) faces away from i3; the other three share its orientation
+    seed = [(0, i1, i2), (0, i3, i1), (i1, i3, i2), (i2, i3, 0)]
     faces = {f: plane(*f) for f in seed}
     for m in range(n):
-        if m in (i0, i1, i2, i3):
+        if m in (0, i1, i2, i3):
             continue
         x, y, z = pts[m]
         visible = [
-            f
-            for f, ((gx, gy, gz), s) in faces.items()
-            if gx * x + gy * y + gz * z > s
+            f for f, (gx, gy, gz, s) in faces.items() if gx * x + gy * y + gz * z > s
         ]
         if not visible:
             continue
@@ -336,78 +338,91 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
 
 def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
     """The polytope of a duplicate-free cloud, in any order, from its
-    triangle mesh.
+    triangle mesh, read in one pass.
 
     `mesh` is :func:`_triangle_hull` of the cloud scaled by `scale` (the
-    cloud itself when `scale` is 1).  Checks that every facet has at least
-    3 vertices, that Euler's relation holds and that every cloud point is
-    contained, and raises AssertionError otherwise.
+    cloud itself when `scale` is 1).  One loop over the triangles groups
+    their corners by facet plane, one membership pass over those corner sets
+    finds the vertices, one loop gives each facet its rank and its vertices,
+    and the edges come from one sorted list of plane pairs.  Checks that
+    every facet has at least 3 vertices, that Euler's relation holds and that
+    every cloud point is contained, and raises AssertionError otherwise.
     """
     # group the triangles by facet plane (inward form <n, x> >= -c, made
     # primitive by one gcd, which divides the offset as the corners are
     # integers), numbering the planes as they are first seen, and record
     # the plane that owns each directed triangle edge
     ids: dict[tuple[int, int, int, int], int] = {}
-    corners: defaultdict[int, set[int]] = defaultdict(set)
+    corners: list[set[int]] = []
     owner = {}
-    for (a, b, c), ((gx, gy, gz), s) in mesh.items():
+    for (a, b, c), (gx, gy, gz, s) in mesh.items():
         d = gcd(gx, gy, gz)
-        f = ids.setdefault((-gx // d, -gy // d, -gz // d, s // d), len(ids))
-        corners[f].update((a, b, c))
+        f = ids.setdefault((-gx // d, -gy // d, -gz // d, s // d), len(corners))
+        if f < len(corners):
+            corners[f].update((a, b, c))
+        else:
+            corners.append({a, b, c})
         owner[a, b] = owner[b, c] = owner[c, a] = f
 
     # a corner on three or more facet planes is a vertex (two facets of a
     # 3-polytope share at most an edge), numbered in lexicographic order
-    on_planes = Counter(i for plane in corners.values() for i in plane)
-    vertex_ids = sorted(
-        (i for i, k in on_planes.items() if k >= 3), key=cloud.__getitem__
-    )
+    once, twice, on3 = set(), set(), set()
+    for plane in corners:
+        on3 |= twice & plane
+        twice |= once & plane
+        once |= plane
+    vertex_ids = sorted(on3, key=cloud.__getitem__)
     renumber = {old: new for new, old in enumerate(vertex_ids)}
-    vertices = tuple(cloud[i] for i in vertex_ids)
+    vertices = tuple([cloud[i] for i in vertex_ids])
 
-    ordered = sorted(ids)  # the facet order; rank maps a plane's id into it
-    rank = [0] * len(ordered)
-    for f, plane in enumerate(ordered):
-        rank[ids[plane]] = f
-    facets = tuple(
-        ((nx, ny, nz), s if scale == 1 else _exact(Fraction(s, scale)))
-        for nx, ny, nz, s in ordered
-    )
-    facet_vertices = tuple(
-        tuple(sorted(renumber[i] for i in corners[ids[pl]] if i in renumber))
-        for pl in ordered
-    )
-    if any(len(fv) < 3 for fv in facet_vertices):
-        raise AssertionError("facet with fewer than 3 vertices")
+    # the facets in sorted plane order; rank maps a plane's id to its place
+    rank = [0] * len(corners)
+    facets, facet_vertices, shared = [], [], [None] * len(corners)
+    for f, ((nx, ny, nz, s), g) in enumerate(sorted(ids.items())):
+        rank[g] = f
+        facets.append(((nx, ny, nz), s if scale == 1 else _exact(Fraction(s, scale))))
+        fv = sorted([renumber[i] for i in corners[g] & on3])
+        if len(fv) < 3:
+            raise AssertionError("facet with fewer than 3 vertices")
+        facet_vertices.append(tuple(fv))
+        shared[g] = set(fv)
 
     # a triangle edge between two planes lies on the edge where those facets
     # meet, whose endpoints are the two vertices the facets share; edges in
     # one plane, and reverse edges, drop out on the ids before any rank lookup
     meets = {(f, g) for (a, b), f in owner.items() if f < (g := owner[b, a])}
-    shared = [set(fv) for fv in facet_vertices]
-    edges, edge_facets = zip(*sorted(
-        (tuple(sorted(shared[f] & shared[g])), (f, g))
-        for f, g in (sorted((rank[f], rank[g])) for f, g in meets)
-    ))
+    pairs = []
+    for f, g in meets:
+        rf, rg = rank[f], rank[g]
+        pairs.append(
+            (tuple(sorted(shared[f] & shared[g])), (rf, rg) if rf < rg else (rg, rf))
+        )
+    pairs.sort()
+    edges, edge_facets = zip(*pairs)
 
     if len(vertices) - len(edges) + len(facets) != 2:
         raise AssertionError("Euler relation violated; hull is inconsistent")
     for (nx, ny, nz), c in facets:
-        if min(nx * x + ny * y + nz * z for x, y, z in cloud) < -c:
-            raise AssertionError("hull drops an input point")
-    return Polytope3(vertices, facets, facet_vertices, edges, edge_facets)
+        for x, y, z in cloud:
+            if nx * x + ny * y + nz * z < -c:
+                raise AssertionError("hull drops an input point")
+    return Polytope3(
+        vertices, tuple(facets), tuple(facet_vertices), edges, edge_facets
+    )
 
 
 def polar_dual(p: Polytope3) -> Polytope3:
     """Polar dual {y : <x, y> >= -1 for all x in p}; needs origin interior.
 
     Its vertices are n/c over the facets (n, c) of p, so (p*)* = p exactly.
+    A coordinate that c divides is an int, so a reflexive p (every c is 1)
+    has its dual hulled as an integer cloud, with no Fraction.
     """
     if not p.origin_interior:
         raise OriginNotInterior("polar dual needs the origin strictly inside")
-    return hull(
-        [tuple(Fraction(x, 1) / c for x in n) for n, c in p.facets]
-    )
+    return hull([
+        tuple(x // c if not x % c else Fraction(x, c) for x in n) for n, c in p.facets
+    ])
 
 
 def is_reflexive(p: Polytope3) -> bool:

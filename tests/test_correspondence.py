@@ -708,7 +708,7 @@ def mesh_children(p, points):
             mesh = _triangle_hull(rest)
         except DegeneratePointSet:
             continue
-        if all(s > 0 for _, s in mesh.values()):
+        if all(s > 0 for *_, s in mesh.values()):
             yield _from_mesh(rest, 1, mesh), rest
 
 

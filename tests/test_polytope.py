@@ -7,6 +7,7 @@ used by the implementation.
 
 import itertools
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, lcm
 
@@ -192,7 +193,7 @@ def test_from_mesh_matches_hull(points):
         return
     p = hull(points)
     assert polytope_fields(polytope._from_mesh(cloud, 1, mesh)) == polytope_fields(p)
-    assert all(s > 0 for _, s in mesh.values()) == p.origin_interior
+    assert all(s > 0 for *_, s in mesh.values()) == p.origin_interior
 
 
 rational_point_sets = st.lists(
@@ -226,7 +227,7 @@ def test_from_mesh_matches_hull_in_any_insertion_order(points, data):
         return
     p = hull(points)
     assert polytope_fields(polytope._from_mesh(cloud, 1, mesh)) == polytope_fields(p)
-    assert all(s > 0 for _, s in mesh.values()) == p.origin_interior
+    assert all(s > 0 for *_, s in mesh.values()) == p.origin_interior
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,6 +286,219 @@ def test_from_mesh_rejects_a_mesh_that_misses_a_point(points):
         assume(False)
     with pytest.raises(AssertionError, match="^hull drops an input point$"):
         polytope._from_mesh(cloud, scale, mesh)
+
+
+# -- the builder against its reference ------------------------------------------
+
+
+def reference_from_mesh(cloud, scale, mesh):
+    """The reference builder: planes in a defaultdict of corner sets,
+    vertices by a Counter, the edges from zip(*sorted(...)), and the same
+    three checks with the same messages."""
+    ids = {}
+    corners = defaultdict(set)
+    owner = {}
+    for (a, b, c), (gx, gy, gz, s) in mesh.items():
+        d = gcd(gx, gy, gz)
+        f = ids.setdefault((-gx // d, -gy // d, -gz // d, s // d), len(ids))
+        corners[f].update((a, b, c))
+        owner[a, b] = owner[b, c] = owner[c, a] = f
+    on_planes = Counter(i for plane in corners.values() for i in plane)
+    vertex_ids = sorted(
+        (i for i, k in on_planes.items() if k >= 3), key=cloud.__getitem__
+    )
+    renumber = {old: new for new, old in enumerate(vertex_ids)}
+    vertices = tuple(cloud[i] for i in vertex_ids)
+    ordered = sorted(ids)
+    rank = [0] * len(ordered)
+    for f, plane in enumerate(ordered):
+        rank[ids[plane]] = f
+    facets = tuple(
+        ((nx, ny, nz), s if scale == 1 else polytope._exact(Fraction(s, scale)))
+        for nx, ny, nz, s in ordered
+    )
+    facet_vertices = tuple(
+        tuple(sorted(renumber[i] for i in corners[ids[pl]] if i in renumber))
+        for pl in ordered
+    )
+    if any(len(fv) < 3 for fv in facet_vertices):
+        raise AssertionError("facet with fewer than 3 vertices")
+    meets = {(f, g) for (a, b), f in owner.items() if f < (g := owner[b, a])}
+    shared = [set(fv) for fv in facet_vertices]
+    edges, edge_facets = zip(*sorted(
+        (tuple(sorted(shared[f] & shared[g])), (f, g))
+        for f, g in (sorted((rank[f], rank[g])) for f, g in meets)
+    ))
+    if len(vertices) - len(edges) + len(facets) != 2:
+        raise AssertionError("Euler relation violated; hull is inconsistent")
+    for (nx, ny, nz), c in facets:
+        if min(nx * x + ny * y + nz * z for x, y, z in cloud) < -c:
+            raise AssertionError("hull drops an input point")
+    return Polytope3(vertices, facets, facet_vertices, edges, edge_facets)
+
+
+def builder_inputs(monkeypatch, run, modules=(polytope,)):
+    """The (cloud, scale, mesh) of every builder call that run() makes
+    through the given modules."""
+    calls = []
+
+    def recording(cloud, scale, mesh, real=polytope._from_mesh):
+        calls.append((cloud, scale, mesh))
+        return real(cloud, scale, mesh)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_from_mesh", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def assert_builder_matches_reference(calls):
+    for cloud, scale, mesh in calls:
+        want = polytope_fields(reference_from_mesh(cloud, scale, mesh))
+        assert polytope_fields(polytope._from_mesh(cloud, scale, mesh)) == want
+
+
+def test_builder_matches_reference_on_table_clouds(rows, monkeypatch):
+    """The 26 point sets that a cold verify_row and verify_swaps pass hulls."""
+    from k3corr import correspondence
+
+    for cached in (
+        correspondence.common_delta,
+        newton_polytope,
+        picard_rank,
+        correspondence._monomial_points,
+        correspondence._point_count,
+        correspondence._point_set_hull,
+    ):
+        cached.cache_clear()
+
+    def run():
+        for row in rows:
+            correspondence.verify_row(row)
+            correspondence.verify_swaps(row)
+
+    calls = builder_inputs(monkeypatch, run)
+    assert len(calls) == 26
+    assert_builder_matches_reference(calls)
+
+
+def test_builder_matches_reference_on_sweep_clouds_and_duals(monkeypatch):
+    """The Newton clouds with d <= 20 (228 of the 235 span R^3), and the
+    polar duals of the 45 that are reflexive."""
+
+    def run():
+        for points in well_posed_newton_clouds(20):
+            try:
+                p = hull(points)
+            except DegeneratePointSet:
+                continue
+            if p.origin_interior and is_reflexive(p):
+                polar_dual(p)
+
+    calls = builder_inputs(monkeypatch, run)
+    assert len(calls) == 228 + 45
+    assert_builder_matches_reference(calls)
+
+
+def test_builder_matches_reference_on_search_children(rows, monkeypatch):
+    """Every child that the depth-2 search from the 16 Δ's builds, each
+    cloud in the walk's own order."""
+    from k3corr import correspondence
+
+    deltas = [correspondence.common_delta(row) for row in rows]
+
+    def run():
+        for delta in deltas:
+            correspondence.search_sub_reflexive(delta, max_depth=2)
+
+    calls = builder_inputs(monkeypatch, run, modules=(correspondence,))
+    assert len(calls) == 101
+    assert_builder_matches_reference(calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_point_sets)
+@example([(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(2, 3)), (F(-1, 2), F(-1, 2), -1)])
+def test_builder_matches_reference_on_rational_clouds(points):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            calls = builder_inputs(monkeypatch, lambda: hull(points))
+        except DegeneratePointSet:
+            assume(False)
+    ((_, scale, _),) = calls
+    assume(scale > 1)
+    assert_builder_matches_reference(calls)
+
+
+@pytest.mark.parametrize("build", [polytope._from_mesh, reference_from_mesh])
+def test_builder_rejects_a_facet_with_fewer_than_3_vertices(build):
+    """(1, 1, 1), inserted first, stays a corner inside the simplex's facet
+    x + y + z = 3.  Moving one of its triangles there, (2, 3, 0), to a plane
+    of its own leaves (1, 1, 1) on two planes, so that plane has 2 vertices."""
+    cloud = [(1, 1, 1), (0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)]
+    mesh = polytope._triangle_hull(cloud)
+    assert mesh[2, 3, 0] == (3, 3, 3, 9)
+    mesh[2, 3, 0] = (1, 1, 1, 4)
+    with pytest.raises(AssertionError, match="^facet with fewer than 3 vertices$"):
+        build(cloud, 1, mesh)
+
+
+@pytest.mark.parametrize("build", [polytope._from_mesh, reference_from_mesh])
+def test_builder_rejects_a_mesh_that_breaks_euler(build):
+    """The cube's bottom triangles moved onto its top plane: every corner is
+    still on 3 planes, but the 5 planes meet in 8 plane pairs, one for each
+    side facet with the merged plane and one for each vertical edge, so
+    V - E + F = 8 - 8 + 5."""
+    cloud = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    mesh = polytope._triangle_hull(cloud)
+    bottom = [t for t, (_, _, gz, _) in mesh.items() if gz < 0]
+    assert len(bottom) == 2
+    for t in bottom:
+        mesh[t] = mesh[3, 1, 5]
+    with pytest.raises(
+        AssertionError, match="^Euler relation violated; hull is inconsistent$"
+    ):
+        build(cloud, 1, mesh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets)
+def test_triangle_hull_records_outward_normal_and_offset(points):
+    """Each triangle (a, b, c) maps to (gx, gy, gz, s) with
+    g = (b - a) x (c - a) and s = <g, a>, and g points outward: no point of
+    the cloud lies beyond the plane and some point lies beneath it."""
+    cloud = list(dict.fromkeys(points))
+    try:
+        mesh = polytope._triangle_hull(cloud)
+    except DegeneratePointSet:
+        return
+    for (a, b, c), (gx, gy, gz, s) in mesh.items():
+        pa, pb, pc = cloud[a], cloud[b], cloud[c]
+        u = tuple(x - y for x, y in zip(pb, pa))
+        v = tuple(x - y for x, y in zip(pc, pa))
+        g = cross(u, v)
+        assert (gx, gy, gz) == g
+        assert s == vec_dot(g, pa)
+        heights = [vec_dot(g, q) for q in cloud]
+        assert max(heights) == s > min(heights)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([], "all points coincide"),
+        ([(1, 2, 3)], "all points coincide"),
+        ([(1, 2, 3)] * 4, "all points coincide"),
+        ([(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, -1, -1)], "points are collinear"),
+        ([(0, 0, 0), (0, 0, 0), (1, 0, 0)], "points are collinear"),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)], "points are coplanar"),
+        ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)], "points are coplanar"),
+    ],
+)
+def test_triangle_hull_degenerate_inputs_keep_their_messages(points, message):
+    with pytest.raises(DegeneratePointSet, match=f"^{message}$"):
+        polytope._triangle_hull(points)
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,6 +693,39 @@ def test_polar_dual_requires_interior_origin():
     shifted = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
     with pytest.raises(OriginNotInterior):
         polar_dual(shifted)
+
+
+def test_polar_dual_of_a_reflexive_polytope_builds_no_fraction(monkeypatch, rows):
+    """Every offset of a reflexive polytope is 1, so its dual is hulled as
+    an integer cloud: int vertices, and the same polytope with no Fraction."""
+    from k3corr.correspondence import common_delta
+
+    reflexive = [cube(), octahedron()] + [common_delta(row) for row in rows]
+    want = [polytope_fields(polar_dual(p)) for p in reflexive]
+
+    def no_fraction(*args):
+        raise AssertionError("polar_dual built a Fraction")
+
+    monkeypatch.setattr(polytope, "Fraction", no_fraction)
+    for p, fields in zip(reflexive, want):
+        d = polar_dual(p)
+        assert polytope_fields(d) == fields
+        assert all(type(x) is int for v in d.vertices for x in v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(point_sets, rational_point_sets))
+@example([(3, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1)])
+def test_polar_dual_equals_the_hull_of_its_fraction_cloud(points):
+    """With its negatives added the cloud keeps the origin interior; the
+    dual equals the hull of n/c built as Fractions, also where some c > 1
+    divides a coordinate and some does not."""
+    try:
+        p = hull(points + [tuple(-x for x in q) for q in points])
+    except DegeneratePointSet:
+        return
+    fractions = [tuple(Fraction(x, 1) / c for x in n) for n, c in p.facets]
+    assert polytope_fields(polar_dual(p)) == polytope_fields(hull(fractions))
 
 
 def dual_involution_cases(rows_by_key):
