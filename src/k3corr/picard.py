@@ -41,24 +41,13 @@ class EdgePair(NamedTuple):
         return self.interior_dual * self.interior
 
 
-class _PicardFields(NamedTuple):
-    rho: int
+class PicardBreakdown(NamedTuple):
+    rho: int  # toric_part + correction
     toric_part: int
     correction: int
     dual_points: int  # l(p*)
-    dual_facet_interior: tuple[int, ...]  # l*(F*) per facet of p*
     edge_pairs: tuple[EdgePair, ...]
     dual_rho: int  # rho of the polar dual's family
-
-
-class PicardBreakdown(_PicardFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.rho != self.toric_part + self.correction:
-            raise AssertionError("rho is not toric part plus correction")
-        return self
 
 
 @lru_cache(maxsize=1024)
@@ -95,6 +84,4 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
     correction = sum(a * b for a, b in zip(dcounts.per_edge, pcounts.per_edge))
     rho = toric + correction
     dual_rho = pcounts.boundary + 1 - 4 - sum(pcounts.per_facet) + correction
-    return PicardBreakdown(
-        rho, toric, correction, dual_points, dcounts.per_facet, pairs, dual_rho
-    )
+    return PicardBreakdown(rho, toric, correction, dual_points, pairs, dual_rho)

@@ -13,17 +13,17 @@ cloud, duplicate-free and integer already, goes to the mesh and the builder
 directly.  The builder takes the cloud in any order and reads the mesh in one
 pass: it numbers the planes once, finds the vertices in one membership pass
 over the planes' corner sets, and checks what it reads: 3 or more vertices per
-facet, Euler's relation and every cloud point contained.  The mesh is the one
-source of the combinatorics: vertices in lexicographic order, facets as
-primitive inward inequalities <n, x> >= -c, the full facet/vertex incidence,
-and edges with the two facets meeting in each.  Per-face lattice point counts
-follow in closed form from that incidence (gcd and Pick); read both ways, it
-gives the polar dual's counts with no dual hull.  The lattice-point list is a
-cached scan of the columns under the polytope's shadow.  The columns of the
-vertex-facet pairing matrix <n, v> + c, each sorted, are the
-GL(3, Z)-invariant vertex signatures; sorted, they are the key that buckets
-polytopes before the exact equivalence test, which fits only vertex triples
-whose signatures match.
+facet, Euler's relation, each facet's plane through its vertices and every
+cloud point contained.  The mesh is the one source of the combinatorics:
+vertices in lexicographic order, facets as primitive inward inequalities
+<n, x> >= -c, the full facet/vertex incidence, and edges with the two facets
+meeting in each.  Per-face lattice point counts follow in closed form from
+that incidence (gcd and Pick); read both ways, it gives the polar dual's
+counts with no dual hull.  The lattice-point list is a cached scan of the
+columns under the polytope's shadow.  The columns of the vertex-facet pairing
+matrix <n, v> + c, each sorted, are the GL(3, Z)-invariant vertex signatures;
+sorted, they are the key that buckets polytopes before the exact equivalence
+test, which fits only vertex triples whose signatures match.
 """
 
 from __future__ import annotations
@@ -136,20 +136,28 @@ def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
     return faces
 
 
-class Polytope3:
+class _PolytopeFields(NamedTuple):
+    vertices: tuple[Point, ...]
+    #: (primitive inward normal, offset c):  <n, x> >= -c  for all x
+    facets: tuple[tuple[tuple[int, int, int], int | Fraction], ...]
+    facet_vertices: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int], ...]
+    #: the two facets (f, g), f < g, that meet in each edge
+    edge_facets: tuple[tuple[int, int], ...]
+
+
+class Polytope3(_PolytopeFields):
     """Immutable full-dimensional rational polytope in R^3.
 
     Use :func:`hull` to construct one; the constructor trusts its arguments.
+    Equality and hashing see the five fields, all of which hull derives from
+    the vertex set.  Assigning any attribute raises AttributeError; the
+    cached properties are written to the instance dict by cached_property,
+    not through __setattr__.
     """
 
-    def __init__(self, vertices, facets, facet_vertices, edges, edge_facets):
-        self.vertices: tuple[Point, ...] = vertices
-        #: (primitive inward normal, offset c):  <n, x> >= -c  for all x
-        self.facets: tuple[tuple[tuple[int, int, int], int | Fraction], ...] = facets
-        self.facet_vertices: tuple[tuple[int, ...], ...] = facet_vertices
-        self.edges: tuple[tuple[int, int], ...] = edges
-        #: the two facets (f, g), f < g, that meet in each edge
-        self.edge_facets: tuple[tuple[int, int], ...] = edge_facets
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a Polytope3")
 
     # -- basic queries ----------------------------------------------------
 
@@ -164,12 +172,6 @@ class Polytope3:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def __eq__(self, other):
-        return isinstance(other, Polytope3) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def __repr__(self):
         return (
@@ -345,8 +347,9 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
     their corners by facet plane, one membership pass over those corner sets
     finds the vertices, one loop gives each facet its rank and its vertices,
     and the edges come from one sorted list of plane pairs.  Checks that
-    every facet has at least 3 vertices, that Euler's relation holds and that
-    every cloud point is contained, and raises AssertionError otherwise.
+    every facet has at least 3 vertices, that Euler's relation holds, that
+    each facet's plane passes through its vertices and that every cloud point
+    is contained, and raises AssertionError otherwise.
     """
     # group the triangles by facet plane (inward form <n, x> >= -c, made
     # primitive by one gcd, which divides the offset as the corners are
@@ -402,6 +405,11 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
 
     if len(vertices) - len(edges) + len(facets) != 2:
         raise AssertionError("Euler relation violated; hull is inconsistent")
+    for ((nx, ny, nz), c), fv in zip(facets, facet_vertices):
+        for i in fv:
+            x, y, z = vertices[i]
+            if nx * x + ny * y + nz * z != -c:
+                raise AssertionError("facet plane misses one of its vertices")
     for (nx, ny, nz), c in facets:
         for x, y, z in cloud:
             if nx * x + ny * y + nz * z < -c:

@@ -131,6 +131,27 @@ def test_search_sub_matches_golden(capsys):
     assert out.encode() == (GOLDEN / "search_sub.txt").read_bytes()
 
 
+#: the commands of golden/picard_dual.txt, in order: four Newton polytopes
+#: with corrections 0, 4, 4 and 2, one of them in kv, and a dual with
+#: coordinates of +-1/2
+PICARD_DUAL_GOLDEN = (
+    ("picard", "1,6,14,21"), ("picard", "2,4,5,9"), ("picard", "3,5,6,7"),
+    ("picard", "1,3,8,12"), ("picard", "2,4,5,9", "--format", "kv"),
+    ("dual", str(GOLDEN / "stretched_octahedron.txt")),
+)
+
+
+def test_picard_and_dual_match_golden(capsys):
+    """Each rank, split, dual count, dual rank and contributing edge pair,
+    and each dual vertex, byte for byte."""
+    out = ""
+    for argv in PICARD_DUAL_GOLDEN:
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        out += text
+    assert out.encode() == (GOLDEN / "picard_dual.txt").read_bytes()
+
+
 def test_verify_table_kv_matches_golden_under_optimize():
     """No invariant may rest on ``assert``: ``python -O`` strips it."""
     import os

@@ -36,7 +36,7 @@ def test_quartic_breakdown():
     assert bk.dual_points == 5
     assert bk.toric_part == 1
     assert bk.correction == 0
-    assert sum(bk.dual_facet_interior) == 0
+    assert sum(polar_dual(quartic_simplex()).face_counts.per_facet) == 0
 
 
 def test_quartic_via_weights():
@@ -173,7 +173,6 @@ def reference_picard(p):
         toric_part=toric,
         correction=correction,
         dual_points=dual_points,
-        dual_facet_interior=dcounts.per_facet,
         edge_pairs=tuple(pairs),
         dual_rho=len(p.lattice_points) - 4 - sum(pcounts.per_facet) + correction,
     )

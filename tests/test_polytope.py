@@ -294,7 +294,7 @@ def test_from_mesh_rejects_a_mesh_that_misses_a_point(points):
 def reference_from_mesh(cloud, scale, mesh):
     """The reference builder: planes in a defaultdict of corner sets,
     vertices by a Counter, the edges from zip(*sorted(...)), and the same
-    three checks with the same messages."""
+    four checks with the same messages."""
     ids = {}
     corners = defaultdict(set)
     owner = {}
@@ -331,6 +331,10 @@ def reference_from_mesh(cloud, scale, mesh):
     ))
     if len(vertices) - len(edges) + len(facets) != 2:
         raise AssertionError("Euler relation violated; hull is inconsistent")
+    for ((nx, ny, nz), c), fv in zip(facets, facet_vertices):
+        on = {nx * x + ny * y + nz * z for x, y, z in (vertices[i] for i in fv)}
+        if on != {-c}:
+            raise AssertionError("facet plane misses one of its vertices")
     for (nx, ny, nz), c in facets:
         if min(nx * x + ny * y + nz * z for x, y, z in cloud) < -c:
             raise AssertionError("hull drops an input point")
@@ -458,6 +462,25 @@ def test_builder_rejects_a_mesh_that_breaks_euler(build):
         mesh[t] = mesh[3, 1, 5]
     with pytest.raises(
         AssertionError, match="^Euler relation violated; hull is inconsistent$"
+    ):
+        build(cloud, 1, mesh)
+
+
+@pytest.mark.parametrize("build", [polytope._from_mesh, reference_from_mesh])
+def test_builder_rejects_a_facet_plane_off_its_vertices(build):
+    """The cube's two x = 1 triangles relabelled with the z = 1 record: the
+    planes then read V - E + F = 6 - 9 + 5 with 3 or more vertices each, and
+    every cloud point satisfies them, but the merged top facet holds
+    (1, -1, -1), which lies off z = 1.  Unchecked, the polytope has no
+    x <= 1 facet and contains (5, 0, 0)."""
+    cloud = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    mesh = polytope._triangle_hull(cloud)
+    front = [t for t, (gx, _, _, _) in mesh.items() if gx > 0]
+    assert len(front) == 2 and mesh[3, 1, 5] == (0, 0, 4, 4)
+    for t in front:
+        mesh[t] = mesh[3, 1, 5]
+    with pytest.raises(
+        AssertionError, match="^facet plane misses one of its vertices$"
     ):
         build(cloud, 1, mesh)
 

@@ -11,6 +11,7 @@ from k3corr import (
     VerificationReport,
     WeightSystem,
     common_delta,
+    hull,
     newton_polytope,
     picard_rank,
 )
@@ -18,6 +19,9 @@ from k3corr import correspondence
 from k3corr.correspondence import CheckResult, SubReflexiveSearch
 from k3corr.picard import EdgePair
 from k3corr.weights import MalformedMonomial
+
+
+CUBE = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
 
 
 def _row():
@@ -38,11 +42,12 @@ RECORDS = {
     "RowRecord": _row,
     "EdgePair": lambda: EdgePair((0, 1), (2, 3), 1, 2),
     "PicardBreakdown": lambda: PicardBreakdown(
-        3, 1, 2, 9, (0, 1), (EdgePair((0, 1), (2, 3), 1, 2),), 17
+        3, 1, 2, 9, (EdgePair((0, 1), (2, 3), 1, 2),), 17
     ),
     "FaceCounts": lambda: FaceCounts(8, (1, 0, 0, 0), (0,) * 6),
     "Monomial": lambda: Monomial((1, 2, 0, 1)),
     "WeightSystem": lambda: WeightSystem.from_weights([3, 1, 2, 2]),
+    "Polytope3": lambda: hull(CUBE),
 }
 
 
@@ -65,16 +70,22 @@ def test_weight_system_cache_is_not_assignable():
     assert ws.d == 8 and ws == WeightSystem.from_weights([3, 1, 2, 2])
 
 
+def test_polytope_is_keyed_by_its_hull_not_its_insertion_order():
+    """Two hulls of one cloud, inserted in different orders and with an
+    interior point added, are equal and hash alike: hull derives all five
+    fields from the vertex set.  Cached properties do not enter."""
+    p, q = hull(CUBE), hull([(0, 0, 0)] + CUBE[::-1])
+    assert p.lattice_points
+    assert p == q and hash(p) == hash(q)
+    with pytest.raises(AttributeError):
+        p.lattice_points = ()
+
+
 def test_monomial_rejects_a_bad_exponent_vector():
     with pytest.raises(MalformedMonomial):
         Monomial((-1, 0, 0, 0))
     with pytest.raises(MalformedMonomial):
         Monomial((1, 0, 0))
-
-
-def test_picard_breakdown_checks_its_split():
-    with pytest.raises(AssertionError, match="toric part plus correction"):
-        PicardBreakdown(4, 1, 2, 9, (0, 1), (), 16)
 
 
 @pytest.mark.parametrize(
@@ -84,6 +95,7 @@ def test_picard_breakdown_checks_its_split():
         newton_polytope,
         common_delta,
         correspondence._monomial_points,
+        correspondence._point_count,
         correspondence._point_set_hull,
     ],
 )
