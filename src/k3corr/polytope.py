@@ -7,8 +7,10 @@ integers that gives a triangle mesh, each triangle one flat record (gx, gy,
 gz, s) of its outward normal and offset, and builds the polytope from it.
 A rational cloud is scaled by the lcm of its denominators; an integer cloud
 (every Newton polytope and search child) is hulled as it is, with no Fraction
-round trip.  The mesh inserts the cloud in list order, so the caller orders
-the points: the order sets the cost, never the result.  A search child's
+round trip.  The mesh inserts the cloud in list order, so the caller orders the
+points: the order sets the cost, never the result.  A Newton polytope's cloud
+comes in a set's order (`weights.newton_polytope`), as a lexicographic sweep
+would meet almost every point outside the hull built so far.  A search child's
 cloud, duplicate-free and integer already, goes to the mesh and the builder
 directly.  The builder takes the cloud in any order and reads the mesh in one
 pass: it numbers the planes once, finds the vertices in one membership pass
@@ -17,13 +19,13 @@ facet, Euler's relation, each facet's plane through its vertices and every
 cloud point contained.  The mesh is the one source of the combinatorics:
 vertices in lexicographic order, facets as primitive inward inequalities
 <n, x> >= -c, the full facet/vertex incidence, and edges with the two facets
-meeting in each.  Per-face lattice point counts follow in closed form from
-that incidence (gcd and Pick); read both ways, it gives the polar dual's
-counts with no dual hull.  The lattice-point list is a cached scan of the
-columns under the polytope's shadow.  The columns of the vertex-facet pairing
-matrix <n, v> + c, each sorted, are the GL(3, Z)-invariant vertex signatures;
-sorted, they are the key that buckets polytopes before the exact equivalence
-test, which fits only vertex triples whose signatures match.
+meeting in each.  Per-face lattice point counts follow in closed form from that
+incidence (gcd and Pick); read both ways, it gives the polar dual's counts with
+no dual hull.  The lattice-point list is a cached scan of the columns under the
+polytope's shadow.  The columns of the vertex-facet pairing matrix <n, v> + c,
+each sorted, are the GL(3, Z)-invariant vertex signatures; sorted, they are the
+key that buckets polytopes before the exact equivalence test, which fits only
+vertex triples whose signatures match.
 """
 
 from __future__ import annotations

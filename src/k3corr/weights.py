@@ -188,8 +188,21 @@ def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
 
 @lru_cache(maxsize=1024)
 def newton_polytope(ws: WeightSystem) -> Polytope3:
-    """Convex hull of all lattice points of the weight tetrahedron."""
-    return hull(anticanonical_points(ws))
+    """Convex hull of all lattice points of the weight tetrahedron.
+
+    The cloud goes to `hull` in a set's order, not in the lexicographic order
+    of `anticanonical_points`.  A lexicographic sweep puts almost every new
+    point outside the hull built so far, so each costs a horizon and new
+    triangles; a random-like order makes most points fall inside early
+    (incremental 3-D hulls then take O(n log n) expected time, Clarkson-Shor
+    1989).  The hash of a tuple of ints does not depend on PYTHONHASHSEED, so
+    the order is the same on every run; it may differ between Python
+    versions.  The result does not depend on it: `hull` drops repeats, and
+    its builder numbers the vertices lexicographically and sorts the facets
+    and edges.  A degenerate cloud raises the same DegeneratePointSet message
+    in any order: it says whether the cloud is a point, a line or a plane.
+    """
+    return hull(list(set(anticanonical_points(ws))))
 
 
 def weights_from_text(text: str) -> WeightSystem:

@@ -152,6 +152,21 @@ def test_picard_and_dual_match_golden(capsys):
     assert out.encode() == (GOLDEN / "picard_dual.txt").read_bytes()
 
 
+#: the weights of golden/newton.txt, in order; 1,1,1,200 lists 20,920 points
+NEWTON_GOLDEN = ("1,1,1,200", "2,4,5,9", "1,6,14,21", "3,5,16,24")
+
+
+def test_newton_matches_golden(capsys):
+    """Each Newton polytope's vertices, byte for byte, whatever order the
+    cloud is hulled in."""
+    out = ""
+    for weights in NEWTON_GOLDEN:
+        code, text, err = run(capsys, "newton", weights)
+        assert (code, err) == (0, "")
+        out += text
+    assert out.encode() == (GOLDEN / "newton.txt").read_bytes()
+
+
 def test_verify_table_kv_matches_golden_under_optimize():
     """No invariant may rest on ``assert``: ``python -O`` strips it."""
     import os
@@ -724,7 +739,7 @@ def test_degenerate_newton_polytope_exit_code(capsys, command):
     code, out, err = run(capsys, command, "7,11,13,17")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: 7,11,13,17: ") and len(err.splitlines()) == 1
+    assert err == "error: 7,11,13,17: points are coplanar\n"
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Weight systems, monomial parsing, the weight tetrahedron and Newton polytopes."""
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +18,7 @@ from k3corr.intlinalg import (
     mat_vec,
     transpose,
 )
-from k3corr.polytope import hull
+from k3corr.polytope import DegeneratePointSet, hull
 from k3corr.weights import (
     MalformedMonomial,
     Monomial,
@@ -279,6 +282,43 @@ def test_newton_polytope_strictly_inside_rational_delta():
     n, d = newton_polytope(ws), delta_tetrahedron(ws)
     assert contains(d, n)
     assert not contains(n, d)
+
+
+def test_newton_polytope_matches_the_lexicographic_hull():
+    # newton_polytope inserts the cloud in a set's order; the order must not
+    # reach the result, nor the message of a degenerate cloud
+    newton = newton_polytope.__wrapped__
+    systems = list(well_posed_systems(30))
+    assert len(systems) == 1059
+    for ws in systems:
+        points = anticanonical_points(ws)
+        try:
+            want = hull(points)
+        except DegeneratePointSet as exc:
+            with pytest.raises(DegeneratePointSet) as err:
+                newton(ws)
+            assert str(err.value) == str(exc)
+        else:
+            assert newton(ws) == want
+
+
+def test_newton_insertion_order_ignores_the_hash_seed():
+    script = (
+        "from k3corr.weights import anticanonical_points, weights_from_text; "
+        "print(list(set(anticanonical_points(weights_from_text('2,4,5,9')))))"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+
+    def run_once(seed):
+        return subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            env={"PYTHONHASHSEED": seed, "PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+
+    a, b = run_once("1"), run_once("2")
+    assert a.returncode == b.returncode == 0
+    assert a.stdout.startswith(b"[(") and a.stdout == b.stdout
 
 
 def test_newton_in_delta_with_interior_origin(rows):
