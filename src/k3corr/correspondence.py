@@ -48,12 +48,6 @@ def _monomial_points(ws: WeightSystem, monomials: tuple) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _point_count(ws: WeightSystem) -> int:
-    """The number of anticanonical points of one weight system."""
-    return len(anticanonical_points(ws))
-
-
-@lru_cache(maxsize=1024)
 def _point_set_hull(points: frozenset) -> Polytope3:
     """The hull of a point set, shared by the rows that permute it."""
     return hull(points)
@@ -212,7 +206,8 @@ def verify_row(row: RowRecord) -> VerificationReport:
         rho = rank("delta", lambda: picard_rank(delta).rho)
         points = delta.face_counts.boundary + 1
         for k, (i, ws) in enumerate(zip(row.ids, row.weights)):
-            if rho is not None and (k == 0 or k in isos) and _point_count(ws) == points:
+            fitted = rho is not None and (k == 0 or k in isos)
+            if fitted and len(anticanonical_points(ws)) == points:
                 rank(f"newton[{i}]", lambda: rho)
             else:
                 rank(f"newton[{i}]", lambda: picard_rank(newton_polytope(ws)).rho)

@@ -9,14 +9,15 @@ A rational cloud is scaled by the lcm of its denominators; an integer cloud
 (every Newton polytope and search child) is hulled as it is, with no Fraction
 round trip.  The mesh inserts the cloud in list order, so the caller orders the
 points: the order sets the cost, never the result.  A Newton polytope's cloud
-comes in a set's order (`weights.newton_polytope`), as a lexicographic sweep
-would meet almost every point outside the hull built so far.  A search child's
-cloud, duplicate-free and integer already, goes to the mesh and the builder
-directly.  The builder takes the cloud in any order and reads the mesh in one
-pass: it numbers the planes once, finds the vertices in one membership pass
-over the planes' corner sets, and checks what it reads: 3 or more vertices per
-facet, Euler's relation, each facet's plane through its vertices and every
-cloud point contained.  The mesh is the one source of the combinatorics:
+comes with its four corner monomials first and the rest in a set's order
+(`weights.newton_polytope`), as a lexicographic sweep would meet almost every
+point outside the hull built so far.  A search child's cloud, duplicate-free
+and integer already, goes to the mesh and the builder directly.  The builder
+takes the cloud in any order and reads the mesh in one pass: it numbers the
+planes once, finds the vertices in one membership pass over the planes'
+corner sets, and checks what it reads: 3 or more vertices per facet, Euler's
+relation, each facet's plane through its vertices and every cloud point
+contained.  The mesh is the one source of the combinatorics:
 vertices in lexicographic order, facets as primitive inward inequalities
 <n, x> >= -c, the full facet/vertex incidence, and edges with the two facets
 meeting in each.  Per-face lattice point counts follow in closed form from that
@@ -328,11 +329,20 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     Points are inserted in the order given, the first of repeated points
     kept: the order sets the cost, never the result.
 
-    Rational points are scaled to integers by the lcm of their denominators,
-    and offsets scaled back.  Integer points take no Fraction round trip: the
-    scale is 1, the cloud is hulled as it is and the offsets stay ints.
+    A tuple of three ints is taken as it is, any other point made exact
+    coordinate by coordinate.  Rational points are scaled to integers by the
+    lcm of their denominators, and offsets scaled back.  Integer points take
+    no Fraction round trip: the scale is 1 and the offsets stay ints.
     """
-    cloud = list(dict.fromkeys(tuple(map(_exact, p)) for p in points))
+    cloud = list(
+        dict.fromkeys(
+            p
+            if type(p) is tuple and len(p) == 3
+            and type(p[0]) is type(p[1]) is type(p[2]) is int
+            else tuple(map(_exact, p))
+            for p in points
+        )
+    )
     if len(cloud) < 4:
         raise DegeneratePointSet("need at least 4 distinct points")
     scale = lcm(*(c.denominator for p in cloud for c in p if type(c) is not int))

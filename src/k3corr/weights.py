@@ -7,13 +7,16 @@ the rank-3 lattice of degree-zero exponent vectors, a row HNF that
 maps to the coordinates of e - (1, 1, 1, 1) in that basis.  The basis's
 left 3x3 block is upper triangular with pivots 1, g = gcd(a2, a3) and
 a3/g, so back-substitution gives the coordinates of a lattice vector, and
-the weight tetrahedron's points are enumerated in coordinates directly.
+the weight tetrahedron's points are enumerated in coordinates directly, once
+per weight system.  The Newton polytope hulls them with its four corner
+monomials first and the rest in a set's order (the order sets the cost).
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from . import intlinalg
@@ -164,6 +167,7 @@ class WeightSystem(_WeightFields):
         return Monomial(tuple(e_sorted[self.perm.index(i)] for i in range(4)))
 
 
+@lru_cache(maxsize=1024)
 def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
     """Lattice points of the weight tetrahedron, enumerated in coordinates.
 
@@ -186,23 +190,53 @@ def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
     return tuple(points)
 
 
+def _corner(ws: WeightSystem, i: int) -> IntVec:
+    """An anticanonical point with the largest exponent of sorted variable i.
+
+    e_i runs down from d // a_i to the first remainder r = d - a_i e_i that
+    the other weights p <= q <= s represent, trying z = 0, 1, .. r // s for
+    r - s z = p x + q y.  With g = gcd(p, q) that has a solution exactly when
+    g divides it and its least x >= 0 (x is fixed mod q/g) leaves q y >= 0.
+    By e_i = 1 the search has returned, as r = p + q + s there.
+    """
+    a, d = ws.a, ws.d
+    p, q, s = a[:i] + a[i + 1 :]
+    g = gcd(p, q)
+    inv = pow(p // g, -1, q // g)
+    for ei in range(d // a[i], 0, -1):
+        r = d - a[i] * ei
+        for z in range(r // s + 1):
+            m = r - s * z
+            if m % g == 0:
+                x = m // g * inv % (q // g)
+                if p * x <= m:
+                    e = [x, (m - p * x) // q, z]
+                    e.insert(i, ei)
+                    return ws.exponent_point(e)
+
+
 @lru_cache(maxsize=1024)
 def newton_polytope(ws: WeightSystem) -> Polytope3:
     """Convex hull of all lattice points of the weight tetrahedron.
 
-    The cloud goes to `hull` in a set's order, not in the lexicographic order
-    of `anticanonical_points`.  A lexicographic sweep puts almost every new
-    point outside the hull built so far, so each costs a horizon and new
-    triangles; a random-like order makes most points fall inside early
-    (incremental 3-D hulls then take O(n log n) expected time, Clarkson-Shor
-    1989).  The hash of a tuple of ints does not depend on PYTHONHASHSEED, so
-    the order is the same on every run; it may differ between Python
-    versions.  The result does not depend on it: `hull` drops repeats, and
-    its builder numbers the vertices lexicographically and sorts the facets
-    and edges.  A degenerate cloud raises the same DegeneratePointSet message
-    in any order: it says whether the cloud is a point, a line or a plane.
+    `hull` inserts points in list order, which sets its cost.  The four
+    corners come first: corner i has the largest exponent of variable i
+    (x_i^(d/a_i) when a_i divides d), so most later points fall beneath
+    their tetrahedron and cost one visibility scan.  The rest follow in a
+    set's order: a lexicographic sweep would put almost every point outside
+    the hull built so far, a random-like order lets most fall inside early
+    (O(n log n) expected time, Clarkson-Shor 1989).  A tuple of ints hashes
+    the same under any PYTHONHASHSEED, so the order is fixed for one Python
+    version.
+
+    The order never reaches the result: the corners are cloud points, `hull`
+    keeps the first copy of a repeated point, and its builder numbers the
+    vertices lexicographically and sorts the facets and edges.  A degenerate
+    cloud raises the same DegeneratePointSet message in any order, naming
+    the cloud a point, a line or a plane.
     """
-    return hull(list(set(anticanonical_points(ws))))
+    corners = [_corner(ws, i) for i in range(4)]
+    return hull([*corners, *set(anticanonical_points(ws))])
 
 
 def weights_from_text(text: str) -> WeightSystem:

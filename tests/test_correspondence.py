@@ -37,7 +37,13 @@ from k3corr.polytope import (
     transform,
     unimodular_equivalent,
 )
-from k3corr.weights import Monomial, WeightSystem, newton_polytope, parse_monomial
+from k3corr.weights import (
+    Monomial,
+    WeightSystem,
+    anticanonical_points,
+    newton_polytope,
+    parse_monomial,
+)
 from test_polytope import (
     assert_maps_onto,
     brute_force_automorphisms,
@@ -241,7 +247,7 @@ def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
         newton_polytope,
         picard_rank,
         correspondence._monomial_points,
-        correspondence._point_count,
+        anticanonical_points,
         correspondence._point_set_hull,
     ):
         cached.cache_clear()
@@ -264,6 +270,9 @@ def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
         verify_swaps(row)
     assert calls == {"k3corr.weights": 10, "k3corr.correspondence": 16}
     assert asked == EXTRA_VERTEX_FAMILIES
+    # each of the 34 weight systems lists its points once, also the 10 whose
+    # count is read before their hull
+    assert anticanonical_points.cache_info().misses == 34
     for row in rows:
         for _, _, swapped in _swaps(row):
             assert common_delta(swapped).vertices == common_delta(row).vertices
@@ -283,7 +292,7 @@ def test_newton_rank_shortcut_matches_the_hull(rows):
         assert points == len(delta.lattice_points)
         for k, ws in enumerate(row.weights):
             newton = newton_polytope(ws)
-            count = correspondence._point_count(ws)
+            count = len(anticanonical_points(ws))
             assert count == len(newton.lattice_points)
             u = derive_iso(row, 0, k)
             if count == points:
@@ -308,7 +317,7 @@ def test_failed_fit_hulls_the_newton_polytope(key, failed, monkeypatch):
     row = next(row for row in rows if row.key == key)
     ws = row.weights[row.ids.index(failed)]
     delta = common_delta(row)
-    assert correspondence._point_count(ws) == delta.face_counts.boundary + 1
+    assert len(anticanonical_points(ws)) == delta.face_counts.boundary + 1
     calls = Counter()
 
     def counting(ws, real=correspondence.newton_polytope):

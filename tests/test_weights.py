@@ -24,6 +24,7 @@ from k3corr.weights import (
     Monomial,
     WeightSystem,
     WrongDegree,
+    _corner,
     anticanonical_points,
     newton_polytope,
     parse_monomial,
@@ -285,8 +286,9 @@ def test_newton_polytope_strictly_inside_rational_delta():
 
 
 def test_newton_polytope_matches_the_lexicographic_hull():
-    # newton_polytope inserts the cloud in a set's order; the order must not
-    # reach the result, nor the message of a degenerate cloud
+    # newton_polytope inserts the corners, then the cloud in a set's order;
+    # the order must not reach the result, nor the message of a degenerate
+    # cloud
     newton = newton_polytope.__wrapped__
     systems = list(well_posed_systems(30))
     assert len(systems) == 1059
@@ -300,6 +302,55 @@ def test_newton_polytope_matches_the_lexicographic_hull():
             assert str(err.value) == str(exc)
         else:
             assert newton(ws) == want
+
+
+def corner_exponents(ws):
+    """The sorted exponent vectors of the four corners, by variable."""
+    return [
+        tuple(k + 1 for k in mat_vec(transpose(ws.basis), _corner(ws, i)))
+        for i in range(4)
+    ]
+
+
+def test_corners_have_the_greatest_exponent_of_their_variable():
+    """All 1,059 well-posed systems with d <= 30, and two with large coprime
+    weights that make the search run long: on four large primes only
+    e = (1, 1, 1, 1) has degree d, so every e_i runs down to its bound 1,
+    and the weight 2 of 2,1001,1003,1005 runs 500 steps, 1505 to 1005."""
+    systems = list(well_posed_systems(30))
+    assert len(systems) == 1059
+    primes, two = (
+        WeightSystem.from_weights(w)
+        for w in ((1009, 1013, 1019, 1021), (2, 1001, 1003, 1005))
+    )
+    for ws in systems + [primes, two]:
+        cloud = set(anticanonical_points(ws))
+        exponents = list(anticanonical_exponents(ws))
+        for i, e in enumerate(corner_exponents(ws)):
+            assert _corner(ws, i) in cloud
+            assert e in exponents
+            assert e[i] == max(f[i] for f in exponents)
+    assert corner_exponents(primes) == [(1, 1, 1, 1)] * 4
+    assert corner_exponents(two)[0] == (1005, 1, 0, 0)
+
+
+def test_corner_is_a_pure_power_when_its_weight_divides_d():
+    ws = WeightSystem.from_weights([1, 6, 14, 21])
+    assert [ws.point_monomial(_corner(ws, i)) for i in range(4)] == [
+        parse_monomial(m) for m in ("W^42", "X^7", "Y^3", "Z^2")
+    ]
+
+
+def test_newton_polytope_inserts_the_corners_first(monkeypatch):
+    from k3corr import weights
+
+    seen = []
+    monkeypatch.setattr(weights, "hull", lambda points: seen.append(points))
+    for w in ((2, 4, 5, 9), (1, 6, 14, 21), (1, 1, 1, 200)):
+        ws = WeightSystem.from_weights(w)
+        newton_polytope.__wrapped__(ws)
+        corners = [_corner(ws, i) for i in range(4)]
+        assert seen.pop() == corners + list(set(anticanonical_points(ws)))
 
 
 def test_newton_insertion_order_ignores_the_hash_seed():
