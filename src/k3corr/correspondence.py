@@ -34,7 +34,7 @@ from .polytope import (
     is_reflexive,
     unimodular_equivalent,
 )
-from .weights import WeightSystem, anticanonical_points, newton_polytope
+from .weights import WeightSystem, anticanonical_count, newton_polytope
 
 
 def _column_points(row: RowRecord, weight_idx: int) -> tuple:
@@ -207,7 +207,7 @@ def verify_row(row: RowRecord) -> VerificationReport:
         points = delta.face_counts.boundary + 1
         for k, (i, ws) in enumerate(zip(row.ids, row.weights)):
             fitted = rho is not None and (k == 0 or k in isos)
-            if fitted and len(anticanonical_points(ws)) == points:
+            if fitted and anticanonical_count(ws) == points:
                 rank(f"newton[{i}]", lambda: rho)
             else:
                 rank(f"newton[{i}]", lambda: picard_rank(newton_polytope(ws)).rho)

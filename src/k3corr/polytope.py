@@ -9,10 +9,9 @@ A rational cloud is scaled by the lcm of its denominators; an integer cloud
 (every Newton polytope and search child) is hulled as it is, with no Fraction
 round trip.  The mesh inserts the cloud in list order, so the caller orders the
 points: the order sets the cost, never the result.  A Newton polytope's cloud
-comes with its four corner monomials first and the rest in a set's order
-(`weights.newton_polytope`), as a lexicographic sweep would meet almost every
-point outside the hull built so far.  A search child's cloud, duplicate-free
-and integer already, goes to the mesh and the builder directly.  The builder
+is only its few vertex candidates (`weights.newton_polytope`), in
+lexicographic order.  A search child's cloud, duplicate-free and integer
+already, goes to the mesh and the builder directly.  The builder
 takes the cloud in any order and reads the mesh in one pass: it numbers the
 planes once, finds the vertices in one membership pass over the planes'
 corner sets, and checks what it reads: 3 or more vertices per facet, Euler's

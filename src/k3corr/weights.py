@@ -6,10 +6,13 @@ the rank-3 lattice of degree-zero exponent vectors, a row HNF that
 `intlinalg.kernel_basis` writes in closed form.  An anticanonical monomial
 maps to the coordinates of e - (1, 1, 1, 1) in that basis.  The basis's
 left 3x3 block is upper triangular with pivots 1, g = gcd(a2, a3) and
-a3/g, so back-substitution gives the coordinates of a lattice vector, and
-the weight tetrahedron's points are enumerated in coordinates directly, once
-per weight system.  The Newton polytope hulls them with its four corner
-monomials first and the rest in a set's order (the order sets the cost).
+a3/g, so back-substitution gives the coordinates of a lattice vector.  The
+Newton polytope hulls only the monomials that can be its vertices, listed
+directly: a monomial that is the midpoint of two others along a degree-zero
+step between two variables is never listed.  The number of anticanonical
+monomials comes from a recurrence, listing none.  The weight tetrahedron's
+points are enumerated in coordinates, once per weight system, only when the
+candidates are degenerate, so that the error message is the whole cloud's.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 from . import intlinalg
 from .intlinalg import InputError, IntMat, IntVec, K3CorrError, mat_vec, transpose
-from .polytope import Polytope3, hull
+from .polytope import DegeneratePointSet, Polytope3, hull
 
 VARIABLES = "WXYZ"
 
@@ -190,53 +193,76 @@ def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
     return tuple(points)
 
 
-def _corner(ws: WeightSystem, i: int) -> IntVec:
-    """An anticanonical point with the largest exponent of sorted variable i.
+@lru_cache(maxsize=1024)
+def anticanonical_count(ws: WeightSystem) -> int:
+    """Number of anticanonical monomials, listing none: the coefficient of
+    t^d in the product of 1 / (1 - t^a_i), from c[n] += c[n - a_i].  Cached,
+    as a table row's swaps ask for the same weight systems again."""
+    c = [1] + [0] * ws.d
+    for a in ws.a:
+        for n in range(a, ws.d + 1):
+            c[n] += c[n - a]
+    return c[ws.d]
 
-    e_i runs down from d // a_i to the first remainder r = d - a_i e_i that
-    the other weights p <= q <= s represent, trying z = 0, 1, .. r // s for
-    r - s z = p x + q y.  With g = gcd(p, q) that has a solution exactly when
-    g divides it and its least x >= 0 (x is fixed mod q/g) leaves q y >= 0.
-    By e_i = 1 the search has returned, as r = p + q + s there.
+
+def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
+    """The anticanonical points that fail none of `newton_polytope`'s six
+    pair tests, in lexicographic order of their sorted exponents.
+
+    Once e_i >= a_j/g, the test of pair (i, j) bounds e_j by a_i/g - 1, so
+    e1 and e2 run only up to their bounds, and e3, fixed by the degree,
+    takes its three tests after.
     """
-    a, d = ws.a, ws.d
-    p, q, s = a[:i] + a[i + 1 :]
-    g = gcd(p, q)
-    inv = pow(p // g, -1, q // g)
-    for ei in range(d // a[i], 0, -1):
-        r = d - a[i] * ei
-        for z in range(r // s + 1):
-            m = r - s * z
-            if m % g == 0:
-                x = m // g * inv % (q // g)
-                if p * x <= m:
-                    e = [x, (m - p * x) // q, z]
-                    e.insert(i, ei)
-                    return ws.exponent_point(e)
+    a0, a1, a2, a3 = a = ws.a
+    # pair (i, j) as (a_j/g, a_i/g): e_i >= a_j/g and e_j >= a_i/g fails it
+    (p01, q01), (p02, q02), (p03, q03), (p12, q12), (p13, q13), (p23, q23) = (
+        (a[j] // g, a[i] // g)
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        for g in (gcd(a[i], a[j]),)
+    )
+    points = []
+    for e0 in range(ws.d // a0 + 1):
+        r0 = ws.d - a0 * e0
+        hi1 = r0 // a1 if e0 < p01 else min(r0 // a1, q01 - 1)
+        for e1 in range(hi1 + 1):
+            r1 = r0 - a1 * e1
+            hi2 = r1 // a2
+            if e0 >= p02:
+                hi2 = min(hi2, q02 - 1)
+            if e1 >= p12:
+                hi2 = min(hi2, q12 - 1)
+            for e2 in range(hi2 + 1):
+                e3, rem = divmod(r1 - a2 * e2, a3)
+                if rem or (
+                    e3 >= q03 and e0 >= p03
+                    or e3 >= q13 and e1 >= p13
+                    or e3 >= q23 and e2 >= p23
+                ):
+                    continue
+                points.append(ws.exponent_point((e0, e1, e2, e3)))
+    return points
 
 
 @lru_cache(maxsize=1024)
 def newton_polytope(ws: WeightSystem) -> Polytope3:
-    """Convex hull of all lattice points of the weight tetrahedron.
+    """Convex hull of all lattice points of the weight tetrahedron, built
+    from the points that can be its vertices.
 
-    `hull` inserts points in list order, which sets its cost.  The four
-    corners come first: corner i has the largest exponent of variable i
-    (x_i^(d/a_i) when a_i divides d), so most later points fall beneath
-    their tetrahedron and cost one visibility scan.  The rest follow in a
-    set's order: a lexicographic sweep would put almost every point outside
-    the hull built so far, a random-like order lets most fall inside early
-    (O(n log n) expected time, Clarkson-Shor 1989).  A tuple of ints hashes
-    the same under any PYTHONHASHSEED, so the order is fixed for one Python
-    version.
-
-    The order never reaches the result: the corners are cloud points, `hull`
-    keeps the first copy of a repeated point, and its builder numbers the
-    vertices lexicographically and sorts the facets and edges.  A degenerate
-    cloud raises the same DegeneratePointSet message in any order, naming
-    the cloud a point, a line or a plane.
+    For sorted weights a_i, a_j with g = gcd(a_i, a_j), the vector v =
+    (a_j/g) e_i - (a_i/g) e_j has degree 0.  If a monomial's exponents have
+    e_i >= a_j/g and e_j >= a_i/g, then e + v and e - v are anticanonical
+    too, so e is their midpoint and no vertex: it fails the test of pair
+    (i, j).  The monomials that fail none of the six pair tests
+    (`_vertex_candidates`) are cloud points holding every vertex, so their
+    hull is the cloud's.  A degenerate candidate set
+    therefore means a degenerate cloud; the full cloud is hulled then, so
+    the DegeneratePointSet message names the cloud a point, a line or a
+    plane as the cloud's own hull would.
     """
-    corners = [_corner(ws, i) for i in range(4)]
-    return hull([*corners, *set(anticanonical_points(ws))])
+    try:
+        return hull(_vertex_candidates(ws))
+    except DegeneratePointSet:
+        return hull(anticanonical_points(ws))
 
 
 def weights_from_text(text: str) -> WeightSystem:

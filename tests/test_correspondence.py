@@ -40,6 +40,7 @@ from k3corr.polytope import (
 from k3corr.weights import (
     Monomial,
     WeightSystem,
+    anticanonical_count,
     anticanonical_points,
     newton_polytope,
     parse_monomial,
@@ -248,6 +249,7 @@ def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
         picard_rank,
         correspondence._monomial_points,
         anticanonical_points,
+        anticanonical_count,
         correspondence._point_set_hull,
     ):
         cached.cache_clear()
@@ -270,9 +272,10 @@ def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
         verify_swaps(row)
     assert calls == {"k3corr.weights": 10, "k3corr.correspondence": 16}
     assert asked == EXTRA_VERTEX_FAMILIES
-    # each of the 34 weight systems lists its points once, also the 10 whose
-    # count is read before their hull
-    assert anticanonical_points.cache_info().misses == 34
+    # each of the 34 weight systems is counted once, by a recurrence, and
+    # the hulls take the vertex candidates, so none lists its points
+    assert anticanonical_count.cache_info().misses == 34
+    assert anticanonical_points.cache_info().misses == 0
     for row in rows:
         for _, _, swapped in _swaps(row):
             assert common_delta(swapped).vertices == common_delta(row).vertices

@@ -18,7 +18,11 @@ from k3corr import (
 from k3corr import correspondence
 from k3corr.correspondence import CheckResult, SubReflexiveSearch
 from k3corr.picard import EdgePair
-from k3corr.weights import MalformedMonomial, anticanonical_points
+from k3corr.weights import (
+    MalformedMonomial,
+    anticanonical_count,
+    anticanonical_points,
+)
 
 
 CUBE = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
@@ -96,6 +100,7 @@ def test_monomial_rejects_a_bad_exponent_vector():
         common_delta,
         correspondence._monomial_points,
         anticanonical_points,
+        anticanonical_count,
         correspondence._point_set_hull,
     ],
 )

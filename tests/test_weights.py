@@ -1,12 +1,9 @@
 """Weight systems, monomial parsing, the weight tetrahedron and Newton polytopes."""
 
 import itertools
-import subprocess
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +21,8 @@ from k3corr.weights import (
     Monomial,
     WeightSystem,
     WrongDegree,
-    _corner,
+    _vertex_candidates,
+    anticanonical_count,
     anticanonical_points,
     newton_polytope,
     parse_monomial,
@@ -170,9 +168,16 @@ def test_anticanonical_points_match_oracle_on_table_weight_orders(rows):
 def test_anticanonical_points_count_on_1_1_1_n(n):
     # e3 = 0 leaves e0 + e1 + e2 = n + 3, e3 = 1 leaves 3, and e3 >= 2 is
     # out of reach once n >= 4
-    assert len(anticanonical_points(WeightSystem.from_weights([1, 1, 1, n]))) == (
-        comb(n + 5, 2) + 10
-    )
+    ws = WeightSystem.from_weights([1, 1, 1, n])
+    assert len(anticanonical_points(ws)) == comb(n + 5, 2) + 10
+    assert anticanonical_count(ws) == comb(n + 5, 2) + 10
+
+
+def test_anticanonical_count_matches_the_listed_points():
+    systems = list(well_posed_systems(30))
+    assert len(systems) == 1059
+    for ws in systems:
+        assert anticanonical_count(ws) == len(anticanonical_points(ws))
 
 
 def test_monomial_point_matches_to_coords_oracle(rows):
@@ -286,14 +291,16 @@ def test_newton_polytope_strictly_inside_rational_delta():
 
 
 def test_newton_polytope_matches_the_lexicographic_hull():
-    # newton_polytope inserts the corners, then the cloud in a set's order;
-    # the order must not reach the result, nor the message of a degenerate
-    # cloud
+    # newton_polytope hulls only the vertex candidates: every vertex of the
+    # full cloud's hull must be one of them, and a degenerate cloud must
+    # keep its message
     newton = newton_polytope.__wrapped__
     systems = list(well_posed_systems(30))
     assert len(systems) == 1059
     for ws in systems:
         points = anticanonical_points(ws)
+        candidates = _vertex_candidates(ws)
+        assert set(candidates) <= set(points)
         try:
             want = hull(points)
         except DegeneratePointSet as exc:
@@ -301,47 +308,11 @@ def test_newton_polytope_matches_the_lexicographic_hull():
                 newton(ws)
             assert str(err.value) == str(exc)
         else:
+            assert set(want.vertices) <= set(candidates)
             assert newton(ws) == want
 
 
-def corner_exponents(ws):
-    """The sorted exponent vectors of the four corners, by variable."""
-    return [
-        tuple(k + 1 for k in mat_vec(transpose(ws.basis), _corner(ws, i)))
-        for i in range(4)
-    ]
-
-
-def test_corners_have_the_greatest_exponent_of_their_variable():
-    """All 1,059 well-posed systems with d <= 30, and two with large coprime
-    weights that make the search run long: on four large primes only
-    e = (1, 1, 1, 1) has degree d, so every e_i runs down to its bound 1,
-    and the weight 2 of 2,1001,1003,1005 runs 500 steps, 1505 to 1005."""
-    systems = list(well_posed_systems(30))
-    assert len(systems) == 1059
-    primes, two = (
-        WeightSystem.from_weights(w)
-        for w in ((1009, 1013, 1019, 1021), (2, 1001, 1003, 1005))
-    )
-    for ws in systems + [primes, two]:
-        cloud = set(anticanonical_points(ws))
-        exponents = list(anticanonical_exponents(ws))
-        for i, e in enumerate(corner_exponents(ws)):
-            assert _corner(ws, i) in cloud
-            assert e in exponents
-            assert e[i] == max(f[i] for f in exponents)
-    assert corner_exponents(primes) == [(1, 1, 1, 1)] * 4
-    assert corner_exponents(two)[0] == (1005, 1, 0, 0)
-
-
-def test_corner_is_a_pure_power_when_its_weight_divides_d():
-    ws = WeightSystem.from_weights([1, 6, 14, 21])
-    assert [ws.point_monomial(_corner(ws, i)) for i in range(4)] == [
-        parse_monomial(m) for m in ("W^42", "X^7", "Y^3", "Z^2")
-    ]
-
-
-def test_newton_polytope_inserts_the_corners_first(monkeypatch):
+def test_newton_polytope_hulls_the_vertex_candidates(monkeypatch):
     from k3corr import weights
 
     seen = []
@@ -349,27 +320,14 @@ def test_newton_polytope_inserts_the_corners_first(monkeypatch):
     for w in ((2, 4, 5, 9), (1, 6, 14, 21), (1, 1, 1, 200)):
         ws = WeightSystem.from_weights(w)
         newton_polytope.__wrapped__(ws)
-        corners = [_corner(ws, i) for i in range(4)]
-        assert seen.pop() == corners + list(set(anticanonical_points(ws)))
-
-
-def test_newton_insertion_order_ignores_the_hash_seed():
-    script = (
-        "from k3corr.weights import anticanonical_points, weights_from_text; "
-        "print(list(set(anticanonical_points(weights_from_text('2,4,5,9')))))"
+        assert seen == [_vertex_candidates(ws)]
+        seen.clear()
+    # on the quartic a monomial with two exponents >= 1 is a midpoint, so
+    # only the four vertices are hulled
+    ws = WeightSystem.from_weights([1, 1, 1, 1])
+    assert sorted(map(ws.point_monomial, _vertex_candidates(ws))) == sorted(
+        parse_monomial(m) for m in ("W^4", "X^4", "Y^4", "Z^4")
     )
-    src = str(Path(__file__).parents[1] / "src")
-
-    def run_once(seed):
-        return subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            env={"PYTHONHASHSEED": seed, "PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-        )
-
-    a, b = run_once("1"), run_once("2")
-    assert a.returncode == b.returncode == 0
-    assert a.stdout.startswith(b"[(") and a.stdout == b.stdout
 
 
 def test_newton_in_delta_with_interior_origin(rows):
