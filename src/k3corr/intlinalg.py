@@ -103,10 +103,6 @@ class NotUnimodular(K3CorrError):
     """Raised when the fitted map is not in GL(3, Z)."""
 
 
-class NotIntegral(NotUnimodular):
-    """Raised when the fitted map has a non-integer entry."""
-
-
 def independent_triple(points: Sequence[Sequence]) -> tuple[int, int, int]:
     """Indices of the first three linearly independent points."""
     for i, j, k in itertools.combinations(range(len(points)), 3):
@@ -148,7 +144,7 @@ def fit_lattice_map(src: Sequence[Sequence], tgt: Sequence[Sequence]) -> IntMat:
     if bad:
         raise InconsistentPairs(f"no linear map fits pairs {bad}", bad)
     if any(x % d for row in scaled for x in row):
-        raise NotIntegral("map is not integral")
+        raise NotUnimodular("map is not integral")
     u = tuple(tuple(x // d for x in row) for row in scaled)
     if not is_unimodular(u):
         raise NotUnimodular(f"determinant is {det(u)}")

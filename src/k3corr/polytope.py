@@ -6,10 +6,10 @@ order given, runs an incremental (beneath-beyond) convex hull over exact
 integers that gives a triangle mesh, each triangle one flat record (gx, gy,
 gz, s) of its outward normal and offset, and builds the polytope from it.
 A rational cloud is scaled by the lcm of its denominators; an integer cloud
-(every Newton polytope and search child) is hulled as it is, with no Fraction
-round trip.  The mesh inserts the cloud in list order, so the caller orders the
-points: the order sets the cost, never the result.  A Newton polytope's cloud
-is only its few vertex candidates (`weights.newton_polytope`), in
+(every Newton polytope and search child) has scale 1 and builds no Fraction.
+The mesh inserts the cloud in list order, so the caller orders the points:
+the order sets the cost, never the result.  A Newton polytope's cloud is
+only its few vertex candidates (`weights.newton_polytope`), in
 lexicographic order.  A search child's cloud, duplicate-free and integer
 already, goes to the mesh and the builder directly.  The builder
 takes the cloud in any order and reads the mesh in one pass: it numbers the
@@ -328,20 +328,12 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     Points are inserted in the order given, the first of repeated points
     kept: the order sets the cost, never the result.
 
-    A tuple of three ints is taken as it is, any other point made exact
-    coordinate by coordinate.  Rational points are scaled to integers by the
-    lcm of their denominators, and offsets scaled back.  Integer points take
-    no Fraction round trip: the scale is 1 and the offsets stay ints.
+    Every point is made exact coordinate by coordinate; an int stays as it
+    is.  Rational points are scaled to integers by the lcm of their
+    denominators, and offsets scaled back.  Integer points take no Fraction
+    round trip: the scale is 1 and the offsets stay ints.
     """
-    cloud = list(
-        dict.fromkeys(
-            p
-            if type(p) is tuple and len(p) == 3
-            and type(p[0]) is type(p[1]) is type(p[2]) is int
-            else tuple(map(_exact, p))
-            for p in points
-        )
-    )
+    cloud = list(dict.fromkeys(tuple(map(_exact, p)) for p in points))
     if len(cloud) < 4:
         raise DegeneratePointSet("need at least 4 distinct points")
     scale = lcm(*(c.denominator for p in cloud for c in p if type(c) is not int))

@@ -11,8 +11,8 @@ Newton polytope hulls only the monomials that can be its vertices, listed
 directly: a monomial that is the midpoint of two others along a degree-zero
 step between two variables is never listed.  The number of anticanonical
 monomials comes from a recurrence, listing none.  The weight tetrahedron's
-points are enumerated in coordinates, once per weight system, only when the
-candidates are degenerate, so that the error message is the whole cloud's.
+points are enumerated in coordinates only when the candidates are
+degenerate, so that the error message is the whole cloud's.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ class MalformedMonomial(InputError):
 
 class WrongDegree(K3CorrError):
     """Raised when a monomial does not have the anticanonical degree."""
-
-    def __init__(self, monomial: "Monomial", got: int, want: int):
-        super().__init__(f"{monomial} has degree {got}, expected {want}")
-        self.got = got
-        self.want = want
 
 
 class _MonomialFields(NamedTuple):
@@ -159,7 +154,7 @@ class WeightSystem(_WeightFields):
         """Lattice coordinates of the degree-zero vector e - (1,1,1,1)."""
         got = self.weighted_degree(m)
         if got != self.d:
-            raise WrongDegree(m, got, self.d)
+            raise WrongDegree(f"{m} has degree {got}, expected {self.d}")
         return self.exponent_point(tuple(m.e[i] for i in self.perm))
 
     def point_monomial(self, coords: Sequence[int]) -> Monomial:
@@ -170,7 +165,6 @@ class WeightSystem(_WeightFields):
         return Monomial(tuple(e_sorted[self.perm.index(i)] for i in range(4)))
 
 
-@lru_cache(maxsize=1024)
 def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
     """Lattice points of the weight tetrahedron, enumerated in coordinates.
 

@@ -1,12 +1,17 @@
 """CLI surface: subcommands, exit codes, formats, round-trips."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3corr.cli import main
 from k3corr.dataset import load_rows
+from k3corr.polytope import parse_points_text
+from test_polytope import well_posed_systems
 
 
 TABLE_JSON = Path(__file__).parents[1] / "src/k3corr/data/table.json"
@@ -750,6 +755,41 @@ def test_search_sub_rejects_limits_below_one(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "must be at least 1" in err
+
+
+#: a weight field: a small integer, or a near miss of the weight syntax
+#: (long digit strings are left out: they are not capped yet)
+weight_fields = st.one_of(
+    st.integers(-2, 60).map(str),
+    st.sampled_from(["", " 7", "+3", "1_0", "x", "\u0663", "0x10", "007"]),
+)
+#: weight lists of 3 to 5 fields, and well-posed ones (d <= 20, in any
+#: order) so that the commands also run to an answer
+weight_lists = st.one_of(
+    st.sampled_from([ws.a for ws in well_posed_systems(20)])
+    .flatmap(st.permutations)
+    .map(lambda a: ",".join(map(str, a))),
+    st.lists(weight_fields, min_size=3, max_size=5).map(",".join),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(weight_lists)
+def test_any_weight_list_exits_0_1_or_2(weights):
+    """A weight list is input: whatever it holds, a command ends in an
+    answer, a failed check or an input error, never an internal error."""
+    for argv in (
+        ["newton", weights],
+        ["picard", weights],
+        ["search-sub", weights, "--max-depth", "1"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "internal error:" not in err.getvalue()
+        if argv[0] == "newton" and code == 0:
+            assert len(parse_points_text(out.getvalue())) >= 4
 
 
 def test_points_file_missing(capsys):

@@ -26,7 +26,6 @@ from k3corr.intlinalg import (
     IllPosedWeights,
     InconsistentPairs,
     IntMat,
-    NotIntegral,
     NotUnimodular,
     RankDeficientSource,
     adjugate,
@@ -274,7 +273,7 @@ def test_fit_lattice_map_rejects_det_2_and_non_integral(u, points):
     assert type(det_2.value) is NotUnimodular
     assert str(det_2.value) == f"determinant is {det(m)}"
     # the inverse map has determinant +-1/2, so it cannot be integral
-    with pytest.raises(NotIntegral):
+    with pytest.raises(NotUnimodular, match="not integral"):
         fit_lattice_map(_image(m, points), points)
 
 
@@ -307,7 +306,7 @@ def reference_fit_lattice_map(src, tgt):
     if bad:
         raise InconsistentPairs(f"no linear map fits pairs {bad}", bad)
     if any(x % d for row in scaled for x in row):
-        raise NotIntegral("map is not integral")
+        raise NotUnimodular("map is not integral")
     u = tuple(tuple(x // d for x in row) for row in scaled)
     if not is_unimodular(u):
         raise NotUnimodular(f"determinant is {det(u)}")
@@ -317,8 +316,8 @@ def reference_fit_lattice_map(src, tgt):
 def _fit_outcome(fit, src, tgt):
     try:
         return fit(src, tgt)
-    except Exception as exc:  # noqa: BLE001 - the class and .bad are compared
-        return type(exc), getattr(exc, "bad", None)
+    except Exception as exc:  # noqa: BLE001 - class, message and .bad are compared
+        return type(exc), str(exc), getattr(exc, "bad", None)
 
 
 points3 = st.lists(st.tuples(small_ints, small_ints, small_ints), min_size=3, max_size=8)

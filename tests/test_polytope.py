@@ -372,7 +372,6 @@ def test_builder_matches_reference_on_table_clouds(rows, monkeypatch):
         newton_polytope,
         picard_rank,
         correspondence._monomial_points,
-        anticanonical_points,
         correspondence._point_set_hull,
     ):
         cached.cache_clear()
@@ -690,13 +689,6 @@ def test_hull_of_integer_cloud_builds_no_fraction(monkeypatch, rows):
         assert [getattr(q, f) for f in HULL_FIELDS] == [
             getattr(p, f) for f in HULL_FIELDS
         ]
-    # a tuple of three ints is taken as it is; any other point is made exact
-    made_exact = []
-    monkeypatch.setattr(polytope, "_exact", lambda c: made_exact.append(c) or c)
-    hull(clouds[0])
-    assert made_exact == []
-    hull([[1, 0, 0], (0, 1, True), *clouds[0]])
-    assert made_exact == [1, 0, 0, 0, 1, True]
 
 
 def test_contains_point_rejects_wrong_length():

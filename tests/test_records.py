@@ -18,11 +18,7 @@ from k3corr import (
 from k3corr import correspondence
 from k3corr.correspondence import CheckResult, SubReflexiveSearch
 from k3corr.picard import EdgePair
-from k3corr.weights import (
-    MalformedMonomial,
-    anticanonical_count,
-    anticanonical_points,
-)
+from k3corr.weights import MalformedMonomial, anticanonical_count
 
 
 CUBE = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
@@ -99,7 +95,6 @@ def test_monomial_rejects_a_bad_exponent_vector():
         newton_polytope,
         common_delta,
         correspondence._monomial_points,
-        anticanonical_points,
         anticanonical_count,
         correspondence._point_set_hull,
     ],
