@@ -154,9 +154,9 @@ def fit_lattice_map(src: Sequence[Sequence], tgt: Sequence[Sequence]) -> IntMat:
 def check_well_posed(weights: Sequence[int]) -> None:
     if len(weights) != 4 or any(w <= 0 for w in weights):
         raise IllPosedWeights(f"need four positive weights, got {tuple(weights)}")
-    for skip in range(4):
-        rest = [w for i, w in enumerate(weights) if i != skip]
-        g = gcd(gcd(rest[0], rest[1]), rest[2])
+    a0, a1, a2, a3 = weights
+    all_but = gcd(a1, a2, a3), gcd(a0, a2, a3), gcd(a0, a1, a3), gcd(a0, a1, a2)
+    for skip, g in enumerate(all_but):
         if g != 1:
             raise IllPosedWeights(
                 f"weights {tuple(weights)} are not well-posed: "

@@ -6,26 +6,26 @@ order given, runs an incremental (beneath-beyond) convex hull over exact
 integers that gives a triangle mesh, each triangle one flat record (gx, gy,
 gz, s) of its outward normal and offset, and builds the polytope from it.
 A rational cloud is scaled by the lcm of its denominators; an integer cloud
-(every Newton polytope and search child) has scale 1 and builds no Fraction.
-The mesh inserts the cloud in list order, so the caller orders the points:
-the order sets the cost, never the result.  A Newton polytope's cloud is
-only its few vertex candidates (`weights.newton_polytope`), in
-lexicographic order.  A search child's cloud, duplicate-free and integer
-already, goes to the mesh and the builder directly.  The builder
-takes the cloud in any order and reads the mesh in one pass: it numbers the
-planes once, finds the vertices in one membership pass over the planes'
-corner sets, and checks what it reads: 3 or more vertices per facet, Euler's
-relation, each facet's plane through its vertices and every cloud point
-contained.  The mesh is the one source of the combinatorics:
+has scale 1 and builds no Fraction.  The mesh inserts the cloud in list
+order, so the caller orders the points: the order sets the cost, never the
+result.  Clouds that are distinct integer triples already skip `hull` and
+go to the mesh and the builder directly: a Newton polytope's few vertex
+candidates (`weights.newton_polytope`), in lexicographic order, and a
+search child's points.  The builder takes the cloud in any order and reads
+the mesh in one pass: it numbers the planes once, finds the vertices in one
+membership pass over the planes' corner sets, pairs the facets that share
+two vertices into edges, and checks what it reads: 3 or more vertices per
+facet, Euler's relation, each facet's plane through its vertices and every
+cloud point contained.  The mesh is the one source of the combinatorics:
 vertices in lexicographic order, facets as primitive inward inequalities
 <n, x> >= -c, the full facet/vertex incidence, and edges with the two facets
 meeting in each.  Per-face lattice point counts follow in closed form from that
-incidence (gcd and Pick); read both ways, it gives the polar dual's counts with
-no dual hull.  The lattice-point list is a cached scan of the columns under the
-polytope's shadow.  The columns of the vertex-facet pairing matrix <n, v> + c,
-each sorted, are the GL(3, Z)-invariant vertex signatures; sorted, they are the
-key that buckets polytopes before the exact equivalence test, which fits only
-vertex triples whose signatures match.
+incidence (gcd and Pick); read both ways, it gives the polar dual and its
+counts with no dual hull.  The lattice-point list is a cached scan of the
+columns under the polytope's shadow.  The columns of the vertex-facet pairing
+matrix <n, v> + c, each sorted, are the GL(3, Z)-invariant vertex
+signatures; sorted, they are the key that buckets polytopes before the exact
+equivalence test, which fits only vertex triples whose signatures match.
 """
 
 from __future__ import annotations
@@ -348,19 +348,20 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
     `mesh` is :func:`_triangle_hull` of the cloud scaled by `scale` (the
     cloud itself when `scale` is 1).  One loop over the triangles groups
     their corners by facet plane, one membership pass over those corner sets
-    finds the vertices, one loop gives each facet its rank and its vertices,
-    and the edges come from one sorted list of plane pairs.  Checks that
+    finds the vertices and one loop gives each facet its rank and its
+    vertices.  Two facets of a 3-polytope meet in a face, so two that share
+    two vertices meet in the edge those two span: with the facets listed at
+    each vertex, a facet pairs with the earlier facets listed at two of its
+    vertices and never looks at a facet it does not touch.  Checks that
     every facet has at least 3 vertices, that Euler's relation holds, that
-    each facet's plane passes through its vertices and that every cloud point
-    is contained, and raises AssertionError otherwise.
+    each facet's plane passes through its vertices and that every cloud
+    point is contained, and raises AssertionError otherwise.
     """
     # group the triangles by facet plane (inward form <n, x> >= -c, made
     # primitive by one gcd, which divides the offset as the corners are
-    # integers), numbering the planes as they are first seen, and record
-    # the plane that owns each directed triangle edge
+    # integers), numbering the planes as they are first seen
     ids: dict[tuple[int, int, int, int], int] = {}
     corners: list[set[int]] = []
-    owner = {}
     for (a, b, c), (gx, gy, gz, s) in mesh.items():
         d = gcd(gx, gy, gz)
         f = ids.setdefault((-gx // d, -gy // d, -gz // d, s // d), len(corners))
@@ -368,7 +369,6 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
             corners[f].update((a, b, c))
         else:
             corners.append({a, b, c})
-        owner[a, b] = owner[b, c] = owner[c, a] = f
 
     # a corner on three or more facet planes is a vertex (two facets of a
     # 3-polytope share at most an edge), numbered in lexicographic order
@@ -381,28 +381,25 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
     renumber = {old: new for new, old in enumerate(vertex_ids)}
     vertices = tuple([cloud[i] for i in vertex_ids])
 
-    # the facets in sorted plane order; rank maps a plane's id to its place
-    rank = [0] * len(corners)
-    facets, facet_vertices, shared = [], [], [None] * len(corners)
-    for f, ((nx, ny, nz, s), g) in enumerate(sorted(ids.items())):
-        rank[g] = f
+    # the facets in sorted plane order, each listed at its vertices; facet
+    # f pairs with each earlier facet g met at two of its vertices (two
+    # facets share no more), and as fv is sorted the first is the lesser end
+    facets, facet_vertices, pairs = [], [], []
+    at: list[list[int]] = [[] for _ in vertex_ids]
+    for f, ((nx, ny, nz, s), plane_id) in enumerate(sorted(ids.items())):
         facets.append(((nx, ny, nz), s if scale == 1 else _exact(Fraction(s, scale))))
-        fv = sorted([renumber[i] for i in corners[g] & on3])
+        fv = sorted([renumber[i] for i in corners[plane_id] & on3])
         if len(fv) < 3:
             raise AssertionError("facet with fewer than 3 vertices")
         facet_vertices.append(tuple(fv))
-        shared[g] = set(fv)
-
-    # a triangle edge between two planes lies on the edge where those facets
-    # meet, whose endpoints are the two vertices the facets share; edges in
-    # one plane, and reverse edges, drop out on the ids before any rank lookup
-    meets = {(f, g) for (a, b), f in owner.items() if f < (g := owner[b, a])}
-    pairs = []
-    for f, g in meets:
-        rf, rg = rank[f], rank[g]
-        pairs.append(
-            (tuple(sorted(shared[f] & shared[g])), (rf, rg) if rf < rg else (rg, rf))
-        )
+        first: dict[int, int] = {}
+        for i in fv:
+            for g in at[i]:
+                if g in first:
+                    pairs.append(((first[g], i), (g, f)))
+                else:
+                    first[g] = i
+            at[i].append(f)
     pairs.sort()
     edges, edge_facets = zip(*pairs)
 
@@ -425,15 +422,51 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
 def polar_dual(p: Polytope3) -> Polytope3:
     """Polar dual {y : <x, y> >= -1 for all x in p}; needs origin interior.
 
-    Its vertices are n/c over the facets (n, c) of p, so (p*)* = p exactly.
-    A coordinate that c divides is an int, so a reflexive p (every c is 1)
-    has its dual hulled as an integer cloud, with no Fraction.
+    Read off p's incidence, with no hull.  Facet f = (n, c) of p is the
+    vertex n/c, and vertex v of p the facet <v, y> >= -1, made primitive:
+    with L the lcm of v's denominators and G the gcd of L v, it is (L v / G,
+    L / G).  That facet's vertices are p's facets through v, and the edge
+    of p between facets f and g, with ends i and j, is the dual edge from
+    f to g, on the dual facets of i and j.  Vertices and facets are then
+    renumbered into sorted order, as `hull` gives them, so (p*)* = p
+    exactly, for rational p too.  A coordinate that c divides is an int,
+    and so is an offset that G divides: a reflexive p (every c is 1, every
+    vertex primitive) has an integer dual, built with no Fraction.
     """
     if not p.origin_interior:
         raise OriginNotInterior("polar dual needs the origin strictly inside")
-    return hull([
+    points = [
         tuple(x // c if not x % c else Fraction(x, c) for x in n) for n, c in p.facets
-    ])
+    ]
+    planes = []
+    for v in p.vertices:
+        scale = lcm(*(x.denominator for x in v))  # an int's denominator is 1
+        m = [x.numerator * (scale // x.denominator) for x in v]
+        g = gcd(*m)
+        offset = scale // g if not scale % g else Fraction(scale, g)
+        planes.append((tuple([x // g for x in m]), offset))
+    # the dual's number for p's facet f (a dual vertex) and vertex i (a facet)
+    vertex_order = sorted(range(len(points)), key=points.__getitem__)
+    facet_order = sorted(range(len(planes)), key=planes.__getitem__)
+    new_vertex = {old: new for new, old in enumerate(vertex_order)}
+    new_facet = {old: new for new, old in enumerate(facet_order)}
+    through: list[list[int]] = [[] for _ in planes]
+    for f, fv in enumerate(p.facet_vertices):
+        for i in fv:
+            through[i].append(new_vertex[f])
+    pairs = []
+    for (i, j), (f, g) in zip(p.edges, p.edge_facets):
+        f, g, i, j = new_vertex[f], new_vertex[g], new_facet[i], new_facet[j]
+        pairs.append(((f, g) if f < g else (g, f), (i, j) if i < j else (j, i)))
+    pairs.sort()
+    edges, edge_facets = zip(*pairs)
+    return Polytope3(
+        tuple([points[f] for f in vertex_order]),
+        tuple([planes[i] for i in facet_order]),
+        tuple([tuple(sorted(through[i])) for i in facet_order]),
+        edges,
+        edge_facets,
+    )
 
 
 def is_reflexive(p: Polytope3) -> bool:

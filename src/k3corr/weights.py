@@ -7,12 +7,13 @@ the rank-3 lattice of degree-zero exponent vectors, a row HNF that
 maps to the coordinates of e - (1, 1, 1, 1) in that basis.  The basis's
 left 3x3 block is upper triangular with pivots 1, g = gcd(a2, a3) and
 a3/g, so back-substitution gives the coordinates of a lattice vector.  The
-Newton polytope hulls only the monomials that can be its vertices, listed
-directly: a monomial that is the midpoint of two others along a degree-zero
-step between two variables is never listed.  The number of anticanonical
-monomials comes from a recurrence, listing none.  The weight tetrahedron's
-points are enumerated in coordinates only when the candidates are
-degenerate, so that the error message is the whole cloud's.
+Newton polytope meshes only the monomials that can be its vertices, listed
+directly with their coordinates: a monomial that is the midpoint of two
+others along a degree-zero step between two variables is never listed.
+The number of anticanonical monomials comes from a recurrence, listing
+none.  The weight tetrahedron's points are enumerated in coordinates only
+when the candidates are degenerate, so that the error message is the whole
+cloud's.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 from . import intlinalg
 from .intlinalg import InputError, IntMat, IntVec, K3CorrError, mat_vec, transpose
-from .polytope import DegeneratePointSet, Polytope3, hull
+from .polytope import DegeneratePointSet, Polytope3, _from_mesh, _triangle_hull, hull
 
 VARIABLES = "WXYZ"
 
@@ -205,7 +206,9 @@ def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
 
     Once e_i >= a_j/g, the test of pair (i, j) bounds e_j by a_i/g - 1, so
     e1 and e2 run only up to their bounds, and e3, fixed by the degree,
-    takes its three tests after.
+    takes its three tests after.  The lattice coordinates are those of
+    `WeightSystem.exponent_point`, written out: x0 once per e0, x1 once
+    per e1, x2 per candidate.
     """
     a0, a1, a2, a3 = a = ws.a
     # pair (i, j) as (a_j/g, a_i/g): e_i >= a_j/g and e_j >= a_i/g fails it
@@ -214,12 +217,17 @@ def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
         for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         for g in (gcd(a[i], a[j]),)
     )
+    (_, y1, y2, _), (_, g, s, _), (_, _, q, _) = ws.basis
     points = []
     for e0 in range(ws.d // a0 + 1):
         r0 = ws.d - a0 * e0
+        x0 = e0 - 1
+        t1, t2 = -1 - y1 * x0, -1 - y2 * x0
         hi1 = r0 // a1 if e0 < p01 else min(r0 // a1, q01 - 1)
         for e1 in range(hi1 + 1):
             r1 = r0 - a1 * e1
+            x1, rem1 = divmod(e1 + t1, g)
+            t = t2 - s * x1
             hi2 = r1 // a2
             if e0 >= p02:
                 hi2 = min(hi2, q02 - 1)
@@ -233,7 +241,12 @@ def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
                     or e3 >= q23 and e2 >= p23
                 ):
                     continue
-                points.append(ws.exponent_point((e0, e1, e2, e3)))
+                x2, rem2 = divmod(e2 + t, q)
+                if rem1 or rem2:
+                    raise AssertionError(
+                        f"{(e0, e1, e2, e3)} does not have degree {ws.d}"
+                    )
+                points.append((x0, x1, x2))
     return points
 
 
@@ -248,13 +261,15 @@ def newton_polytope(ws: WeightSystem) -> Polytope3:
     too, so e is their midpoint and no vertex: it fails the test of pair
     (i, j).  The monomials that fail none of the six pair tests
     (`_vertex_candidates`) are cloud points holding every vertex, so their
-    hull is the cloud's.  A degenerate candidate set
-    therefore means a degenerate cloud; the full cloud is hulled then, so
-    the DegeneratePointSet message names the cloud a point, a line or a
-    plane as the cloud's own hull would.
+    hull is the cloud's.  They are distinct integer triples, so they go to
+    the mesh and the builder as they are, with no pass through `hull`.  A
+    degenerate candidate set therefore means a degenerate cloud; the full
+    cloud is hulled then, so the DegeneratePointSet message names the cloud
+    a point, a line or a plane as the cloud's own hull would.
     """
+    candidates = _vertex_candidates(ws)
     try:
-        return hull(_vertex_candidates(ws))
+        return _from_mesh(candidates, 1, _triangle_hull(candidates))
     except DegeneratePointSet:
         return hull(anticanonical_points(ws))
 

@@ -236,11 +236,12 @@ EXTRA_VERTEX_FAMILIES = {
 
 def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
     """From cold caches, one verify_row and verify_swaps pass over the table
-    hulls 26 point sets: the Newton polytopes of the 10 families with an
-    extra vertex, and the 16 rows' common polytopes, which every swapped row
-    shares (a swap only permutes one weight's column, so weight 0's point
-    set stays).  Every other family's rank is read off its row's common
-    polytope."""
+    builds 26 polytopes: the Newton polytopes of the 10 families with an
+    extra vertex, whose vertex candidates enter the builder from `weights`
+    with no pass through `hull`, and the 16 rows' common polytopes, hulled,
+    which every swapped row shares (a swap only permutes one weight's
+    column, so weight 0's point set stays).  Every other family's rank is
+    read off its row's common polytope."""
     from k3corr import weights
 
     for cached in (
@@ -260,10 +261,15 @@ def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
     calls = Counter()
     for module in (correspondence, weights):
         def counting(points, module=module, real=module.hull):
-            calls[module.__name__] += 1
+            calls[module.__name__, "hull"] += 1
             return real(points)
 
+        def building(cloud, scale, mesh, module=module, real=module._from_mesh):
+            calls[module.__name__, "_from_mesh"] += 1
+            return real(cloud, scale, mesh)
+
         monkeypatch.setattr(module, "hull", counting)
+        monkeypatch.setattr(module, "_from_mesh", building)
     asked = set()
 
     def recording(ws, real=correspondence.newton_polytope):
@@ -274,7 +280,10 @@ def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
     for row in rows:
         verify_row(row)
         verify_swaps(row)
-    assert calls == {"k3corr.weights": 10, "k3corr.correspondence": 16}
+    assert calls == {
+        ("k3corr.weights", "_from_mesh"): 10,
+        ("k3corr.correspondence", "hull"): 16,
+    }
     assert asked == EXTRA_VERTEX_FAMILIES
     # each of the 34 weight systems is counted once, by a recurrence, and
     # the hulls take the vertex candidates, so none lists its points (the

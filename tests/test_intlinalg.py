@@ -29,6 +29,7 @@ from k3corr.intlinalg import (
     NotUnimodular,
     RankDeficientSource,
     adjugate,
+    check_well_posed,
     det,
     fit_lattice_map,
     identity,
@@ -412,6 +413,25 @@ def test_kernel_basis_rejects_ill_posed():
         kernel_basis((0, 1, 1, 1))
     with pytest.raises(IllPosedWeights):
         kernel_basis((1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "weights, skip, g",
+    [
+        ((3, 2, 4, 6), 0, 2),
+        ((2, 3, 4, 6), 1, 2),
+        ((3, 6, 1, 9), 2, 3),
+        ((2, 4, 6, 3), 3, 2),
+        ((2, 4, 6, 8), 0, 2),
+    ],
+)
+def test_check_well_posed_names_the_first_position_left_out(weights, skip, g):
+    """The message names the first position whose other three weights share
+    a factor, and that factor."""
+    want = f"weights {weights} are not well-posed: gcd of all but position {skip} is {g}"
+    with pytest.raises(IllPosedWeights) as err:
+        check_well_posed(list(weights))
+    assert str(err.value) == want
 
 
 class NotInLattice(ValueError):

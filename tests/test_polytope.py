@@ -364,8 +364,10 @@ def assert_builder_matches_reference(calls):
 
 
 def test_builder_matches_reference_on_table_clouds(rows, monkeypatch):
-    """The 26 point sets that a cold verify_row and verify_swaps pass hulls."""
-    from k3corr import correspondence
+    """The 26 point sets that a cold verify_row and verify_swaps pass
+    builds: 16 hulled, and 10 Newton polytopes' vertex candidates, which
+    enter the builder from `weights`."""
+    from k3corr import correspondence, weights
 
     for cached in (
         correspondence.common_delta,
@@ -381,26 +383,25 @@ def test_builder_matches_reference_on_table_clouds(rows, monkeypatch):
             correspondence.verify_row(row)
             correspondence.verify_swaps(row)
 
-    calls = builder_inputs(monkeypatch, run)
+    calls = builder_inputs(monkeypatch, run, modules=(polytope, weights))
     assert len(calls) == 26
     assert_builder_matches_reference(calls)
 
 
-def test_builder_matches_reference_on_sweep_clouds_and_duals(monkeypatch):
-    """The Newton clouds with d <= 20 (228 of the 235 span R^3), and the
-    polar duals of the 45 that are reflexive."""
+def test_builder_matches_reference_on_sweep_clouds(monkeypatch):
+    """The Newton clouds with d <= 20, of which 228 of the 235 span R^3.
+    Their polar duals are read off the incidence, with no builder call, and
+    are checked by the dual oracle below."""
 
     def run():
         for points in well_posed_newton_clouds(20):
             try:
-                p = hull(points)
+                hull(points)
             except DegeneratePointSet:
                 continue
-            if p.origin_interior and is_reflexive(p):
-                polar_dual(p)
 
     calls = builder_inputs(monkeypatch, run)
-    assert len(calls) == 228 + 45
+    assert len(calls) == 228
     assert_builder_matches_reference(calls)
 
 
@@ -418,6 +419,37 @@ def test_builder_matches_reference_on_search_children(rows, monkeypatch):
     calls = builder_inputs(monkeypatch, run, modules=(correspondence,))
     assert len(calls) == 101
     assert_builder_matches_reference(calls)
+
+
+def test_builder_matches_reference_on_a_many_facet_shell():
+    """The lattice points of the shell R^2 - 2R < |x|^2 <= R^2 at R = 8:
+    many small facets, each vertex on several, so each facet meets many
+    others in a vertex and a few in an edge."""
+    r = 8
+    cloud = [
+        (x, y, z)
+        for x in range(-r, r + 1)
+        for y in range(-r, r + 1)
+        for z in range(-r, r + 1)
+        if r * r - 2 * r < x * x + y * y + z * z <= r * r
+    ]
+    assert len(cloud) == 744
+    mesh = polytope._triangle_hull(cloud)
+    p = polytope._from_mesh(cloud, 1, mesh)
+    assert (p.n_vertices, p.n_edges, p.n_facets) == (150, 336, 188)
+    assert polytope_fields(p) == polytope_fields(reference_from_mesh(cloud, 1, mesh))
+
+
+def test_builder_pairs_no_facets_that_meet_in_a_vertex():
+    """Each octahedron facet meets three facets in an edge, three in a
+    single vertex and one not at all; only the first three are paired."""
+    cloud = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    mesh = polytope._triangle_hull(cloud)
+    p = polytope._from_mesh(cloud, 1, mesh)
+    assert (p.n_vertices, p.n_edges, p.n_facets) == (6, 12, 8)
+    for (i, j), (f, g) in zip(p.edges, p.edge_facets):
+        assert set(p.facet_vertices[f]) & set(p.facet_vertices[g]) == {i, j}
+    assert polytope_fields(p) == polytope_fields(reference_from_mesh(cloud, 1, mesh))
 
 
 @settings(max_examples=100, deadline=None)
@@ -718,8 +750,9 @@ def test_polar_dual_requires_interior_origin():
 
 
 def test_polar_dual_of_a_reflexive_polytope_builds_no_fraction(monkeypatch, rows):
-    """Every offset of a reflexive polytope is 1, so its dual is hulled as
-    an integer cloud: int vertices, and the same polytope with no Fraction."""
+    """Every offset of a reflexive polytope is 1 and every vertex primitive,
+    so its dual has int vertices and offsets: the same polytope, built with
+    no Fraction."""
     from k3corr.correspondence import common_delta
 
     reflexive = [cube(), octahedron()] + [common_delta(row) for row in rows]
@@ -733,6 +766,7 @@ def test_polar_dual_of_a_reflexive_polytope_builds_no_fraction(monkeypatch, rows
         d = polar_dual(p)
         assert polytope_fields(d) == fields
         assert all(type(x) is int for v in d.vertices for x in v)
+        assert all(type(c) is int for _, c in d.facets)
 
 
 @settings(max_examples=80, deadline=None)
@@ -748,6 +782,48 @@ def test_polar_dual_equals_the_hull_of_its_fraction_cloud(points):
         return
     fractions = [tuple(Fraction(x, 1) / c for x in n) for n, c in p.facets]
     assert polytope_fields(polar_dual(p)) == polytope_fields(hull(fractions))
+
+
+def assert_polar_dual_matches_the_hull(p):
+    """polar_dual(p), read off the incidence, equals the hull of the n/c
+    points field by field, the type of each number included, and its own
+    dual is p."""
+    d = polar_dual(p)
+    want = hull([tuple(Fraction(x) / c for x in n) for n, c in p.facets])
+    assert repr(polytope_fields(d)) == repr(polytope_fields(want))
+    assert repr(polytope_fields(polar_dual(d))) == repr(polytope_fields(p))
+
+
+def test_polar_dual_matches_the_hull_on_sweep_newton_polytopes():
+    """The reflexive Newton polytopes with d <= 20, whose duals the sweep
+    builds."""
+    reflexive = []
+    for ws in well_posed_systems(20):
+        try:
+            p = newton_polytope(ws)
+        except DegeneratePointSet:
+            continue
+        if p.origin_interior and is_reflexive(p):
+            reflexive.append(p)
+    assert len(reflexive) == 45
+    for p in reflexive:
+        assert_polar_dual_matches_the_hull(p)
+
+
+def test_polar_dual_matches_the_hull_on_table_deltas(rows):
+    from k3corr.correspondence import common_delta
+
+    for row in rows:
+        assert_polar_dual_matches_the_hull(common_delta(row))
+
+
+def test_polar_dual_matches_the_hull_on_family_newton_polytopes(rows):
+    """The Newton polytopes of the table's 38 families (34 weight systems),
+    10 of which have a vertex more than their row's common polytope."""
+    polytopes = [newton_polytope(ws) for row in rows for ws in row.weights]
+    assert len(polytopes) == 38
+    for p in polytopes:
+        assert_polar_dual_matches_the_hull(p)
 
 
 def dual_involution_cases(rows_by_key):

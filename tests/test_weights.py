@@ -312,28 +312,36 @@ def test_newton_polytope_matches_the_lexicographic_hull():
 
 
 def test_newton_polytope_hulls_the_vertex_candidates(monkeypatch):
+    """The candidates go to the mesh as they are; `hull` sees only the full
+    cloud of a degenerate candidate set."""
     from k3corr import weights
 
-    seen = []
+    meshed, hulled = [], []
 
-    def recording(points, real=weights.hull):
-        seen.append(points)
+    def meshing(points, real=weights._triangle_hull):
+        meshed.append(points)
         return real(points)
 
-    monkeypatch.setattr(weights, "hull", recording)
+    def hulling(points, real=weights.hull):
+        hulled.append(points)
+        return real(points)
+
+    monkeypatch.setattr(weights, "_triangle_hull", meshing)
+    monkeypatch.setattr(weights, "hull", hulling)
     for w in ((2, 4, 5, 9), (1, 6, 14, 21), (1, 1, 1, 200)):
         ws = WeightSystem.from_weights(w)
         newton_polytope.__wrapped__(ws)
-        assert seen == [_vertex_candidates(ws)]
-        seen.clear()
+        assert (meshed, hulled) == ([_vertex_candidates(ws)], [])
+        meshed.clear()
     # both have 4 coplanar candidates (of 4 and of 44 monomials): the full
     # cloud is hulled after them, so that the message is the cloud's
     for w in ((7, 11, 13, 17), (3, 3, 50, 64)):
         ws = WeightSystem.from_weights(w)
         with pytest.raises(DegeneratePointSet, match="points are coplanar"):
             newton_polytope.__wrapped__(ws)
-        assert seen == [_vertex_candidates(ws), anticanonical_points(ws)]
-        seen.clear()
+        assert (meshed, hulled) == ([_vertex_candidates(ws)], [anticanonical_points(ws)])
+        meshed.clear()
+        hulled.clear()
     # on the quartic a monomial with two exponents >= 1 is a midpoint, so
     # only the four vertices are hulled
     ws = WeightSystem.from_weights([1, 1, 1, 1])
