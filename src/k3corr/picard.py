@@ -7,9 +7,11 @@ dimension 3): with p the Newton polytope and p* its polar dual,
                     + sum_{edges E* of p*} l*(E*) . l*(E)
 
 where E is the edge of p dual to E* and l, l* count lattice points and
-relative-interior lattice points.  All are closed-form boundary counts from
-the polytope's incidence read both ways, with no dual hull; p* is reflexive,
-so l(p*) is its boundary count plus the origin.  The correction sum is
+relative-interior lattice points.  One Pick pass gives p*'s counts in
+closed form from p's incidence read the other way round, with no dual
+hull; p* is reflexive, so l(p*) is its boundary count plus the origin.
+p's own counts enter only through l*(E), one gcd per edge: the facet
+counts of p cancel from the dual family's rank.  The correction sum is
 reported separately: it is the rank of the part of the Picard lattice not
 visible from the ambient toric resolution.
 """
@@ -56,6 +58,10 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
 
     `dual_rho` is p*'s rank: the same count with p and p* swapped (p** = p),
     l(p) - 4 - sum of l*(F) over the facets F of p plus the same correction.
+    p's boundary holds its V vertices and the points inside its edges and
+    facets, and the origin is its one interior point, so l(p) - 1 = V +
+    sum of l*(E) + sum of l*(F): the facet terms cancel, and dual_rho =
+    V + sum of l*(E) - 3 + correction, with l*(E) = gcd(v_j - v_i) - 1.
     """
     try:
         reflexive = is_reflexive(p)
@@ -72,16 +78,20 @@ def picard_rank(p: Polytope3) -> PicardBreakdown:
     dcounts = pick_counts(
         [n for n, _ in p.facets], p.edge_facets, p.edges, p.vertices
     )
-    pcounts = p.face_counts
+    verts = p.vertices
+    interior = [
+        gcd(vx - ux, vy - uy, vz - uz) - 1
+        for (ux, uy, uz), (vx, vy, vz) in ((verts[i], verts[j]) for i, j in p.edges)
+    ]
     # sorted by dual edge (a facet pair no other edge has) and built
     # positionally: keyword construction costs a quarter of the call
     pairs = tuple(map(EdgePair._make, sorted(
-        zip(p.edge_facets, p.edges, dcounts.per_edge, pcounts.per_edge)
+        zip(p.edge_facets, p.edges, dcounts.per_edge, interior)
     )))
     # the origin is the only interior lattice point of the reflexive dual
     dual_points = dcounts.boundary + 1
     toric = dual_points - 4 - sum(dcounts.per_facet)
-    correction = sum(a * b for a, b in zip(dcounts.per_edge, pcounts.per_edge))
+    correction = sum(a * b for a, b in zip(dcounts.per_edge, interior))
     rho = toric + correction
-    dual_rho = pcounts.boundary + 1 - 4 - sum(pcounts.per_facet) + correction
+    dual_rho = len(verts) + sum(interior) - 3 + correction
     return PicardBreakdown(rho, toric, correction, dual_points, pairs, dual_rho)

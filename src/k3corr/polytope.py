@@ -214,7 +214,7 @@ class Polytope3(_PolytopeFields):
         (n, c) reads L n_z z >= -(L c + L n_x x + L n_y y) over the integers,
         so each column's z-interval is an exact integer ceil/floor division.
         """
-        scale = lcm(*(Fraction(c).denominator for _, c in self.facets))
+        scale = lcm(*(c.denominator for _, c in self.facets))  # an int's is 1
         rows = [
             (scale * nx, scale * ny, scale * nz, int(scale * c))
             for (nx, ny, nz), c in self.facets

@@ -172,6 +172,15 @@ def test_newton_matches_golden(capsys):
     assert out.encode() == (GOLDEN / "newton.txt").read_bytes()
 
 
+def test_newton_with_both_lattice_steps_large_matches_golden(capsys):
+    """3,7,1000,100000 has g = 1000 and q = 100: the candidate loop visits
+    one e1 in a thousand and one e2 in a hundred, and finds the same 8
+    vertices as a loop that tests every exponent."""
+    code, text, err = run(capsys, "newton", "3,7,1000,100000")
+    assert (code, err) == (0, "")
+    assert text.encode() == (GOLDEN / "newton_3_7_1000_100000.txt").read_bytes()
+
+
 def test_verify_table_kv_matches_golden_under_optimize():
     """No invariant may rest on ``assert``: ``python -O`` strips it."""
     import os

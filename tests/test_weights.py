@@ -289,17 +289,38 @@ def test_newton_polytope_strictly_inside_rational_delta():
     assert not contains(n, d)
 
 
+def pair_test_survivors(ws):
+    """The anticanonical points, in their order, whose sorted exponents e
+    have no pair i < j with e_i >= a_j/g and e_j >= a_i/g (g = gcd(a_i,
+    a_j)): the six pair tests, written from their definition."""
+    a = ws.a
+    pairs = [
+        (i, j, a[j] // gcd(a[i], a[j]), a[i] // gcd(a[i], a[j]))
+        for i, j in itertools.combinations(range(4), 2)
+    ]
+    return [
+        x
+        for x in anticanonical_points(ws)
+        for e in (tuple(k + 1 for k in mat_vec(transpose(ws.basis), x)),)
+        if not any(e[i] >= p and e[j] >= q for i, j, p, q in pairs)
+    ]
+
+
 def test_newton_polytope_matches_the_lexicographic_hull():
-    # newton_polytope hulls only the vertex candidates: every vertex of the
-    # full cloud's hull must be one of them, and a degenerate cloud must
-    # keep its message
+    # newton_polytope hulls only the vertex candidates: they are the cloud
+    # points that pass the six pair tests, in the cloud's order, every
+    # vertex of the full cloud's hull must be one of them, and a degenerate
+    # cloud must keep its message.  The last two systems have both lattice
+    # steps well above 1 (g = 100, q = 10 and g = 25, q = 5), so the loop
+    # skips most e1 and e2.
     newton = newton_polytope.__wrapped__
     systems = list(well_posed_systems(30))
     assert len(systems) == 1059
+    systems += map(WeightSystem.from_weights, [(3, 7, 100, 1000), (2, 3, 50, 125)])
     for ws in systems:
         points = anticanonical_points(ws)
         candidates = _vertex_candidates(ws)
-        assert set(candidates) <= set(points)
+        assert candidates == pair_test_survivors(ws)
         try:
             want = hull(points)
         except DegeneratePointSet as exc:
@@ -309,6 +330,31 @@ def test_newton_polytope_matches_the_lexicographic_hull():
         else:
             assert set(want.vertices) <= set(candidates)
             assert newton(ws) == want
+
+
+def tampered(weights, row, column):
+    """A weight system whose cached basis has entry (row, column) one more
+    than it should: still triangular, but no longer the weights' kernel."""
+    ws = WeightSystem.from_weights(weights)
+    basis = [list(r) for r in ws.basis]
+    basis[row][column] += 1
+    ws.__dict__["basis"] = tuple(map(tuple, basis))
+    return ws
+
+
+def test_vertex_candidates_check_the_basis_against_the_degree():
+    """The classes the loop steps through come from the basis; a basis that
+    disagrees with the weights fails the e1 check (y1 moved) or, with e1's
+    classes right, the e2 check (y2 or s moved), before any point is listed."""
+    w = (3, 7, 100, 1000)
+    # the loop never reads column 0, so moving it changes nothing
+    want = _vertex_candidates(WeightSystem.from_weights(w))
+    assert _vertex_candidates(tampered(w, 0, 0)) == want
+    with pytest.raises(AssertionError, match="e1's class mod 100 misses"):
+        _vertex_candidates(tampered(w, 0, 1))
+    for row, column in ((0, 2), (1, 2)):
+        with pytest.raises(AssertionError, match="e2's class mod 10 misses"):
+            _vertex_candidates(tampered(w, row, column))
 
 
 def test_newton_polytope_hulls_the_vertex_candidates(monkeypatch):
