@@ -7,16 +7,15 @@ the rank-3 lattice of degree-zero exponent vectors, a row HNF that
 maps to the coordinates of e - (1, 1, 1, 1) in that basis.  The basis's
 left 3x3 block is upper triangular with pivots 1, g = gcd(a2, a3) and
 a3/g, so back-substitution gives the coordinates of a lattice vector.  The
-Newton polytope meshes only the monomials that can be its vertices, listed
-directly with their coordinates: a monomial that is the midpoint of two
-others along a degree-zero step between two variables is never listed.
-That loop visits lattice points only, e1 stepped through its class mod g
-and e2 through its class mod a3/g, and checks that these are the classes
-the degree picks: e1's once per e0, e2's once per (e0, e1), and that e3
-is integral per e2.  The number of anticanonical monomials comes from a
-recurrence, listing none.  The weight tetrahedron's points are enumerated
-in coordinates only when the candidates are degenerate, so that the error
-message is the whole cloud's.
+Newton polytope meshes only the monomials that can be its vertices: a
+monomial that is the midpoint of two others along a degree-zero step
+between two variables is never listed.  That loop walks the exponents of
+degree d only, e1 through the one class mod g and e2 through the one class
+mod a3/g that the degree picks, and maps only the kept monomials to
+coordinates, each checked as `exponent_point` checks it.  The number of
+anticanonical monomials comes from a recurrence, listing none.  The weight
+tetrahedron's points are enumerated in coordinates only when the
+candidates are degenerate, so that the error message is the whole cloud's.
 """
 
 from __future__ import annotations
@@ -209,17 +208,14 @@ def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
 
     Once e_i >= a_j/g, the test of pair (i, j) bounds e_j by a_i/g - 1, so
     e1 and e2 run only up to their bounds, and e3, fixed by the degree,
-    takes its three tests after.  Only lattice points are visited, their
-    coordinates (those of `WeightSystem.exponent_point`) stepped along: for
-    each e0, e1 runs through its class mod g as x1 += 1, and for each (e0,
-    e1), e2 through its class mod q as x2 += 1.  The degree picks the same
-    classes.  g divides a2 and a3, so it divides r1 = r0 - a1 e1 (r0 = d -
-    a0 e0): e1 = r0 / a1 mod g.  a3 divides r1 - a2 e2: e2 = (r1/g) /
-    (a2/g) mod q.  Both inverses exist as the weights are well-posed.
-    Three checks keep degree and lattice in step over the whole range and
-    raise AssertionError otherwise: e1's class in the basis is the
-    degree's, once per e0; so is e2's, once per (e0, e1); and e3 is
-    integral, per e2.
+    takes its three tests after.  The walk reads only the weights and
+    visits only exponents of degree d: g = gcd(a2, a3) divides r1 = r0 -
+    a1 e1 (r0 = d - a0 e0), so e1 = r0 / a1 mod g, and a3 divides r1 - a2
+    e2, so e2 = (r1/g) / (a2/g) mod q with q = a3/g.  Both inverses exist
+    as the weights are well-posed.  A kept candidate maps to coordinates by
+    the back-substitution of `WeightSystem.exponent_point`, and like it
+    raises AssertionError if the basis does not give degree d; so does a
+    visited e2 that leaves e3 non-integral.
     """
     a0, a1, a2, a3 = a = ws.a
     # pair (i, j) as (a_j/g, a_i/g): e_i >= a_j/g and e_j >= a_i/g fails it
@@ -228,40 +224,25 @@ def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
         for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         for g in (gcd(a[i], a[j]),)
     )
-    (_, y1, y2, _), (_, g, s, _), (_, _, q, _) = ws.basis
+    g = gcd(a2, a3)
+    q = a3 // g
     inv1, inv2 = pow(a1, -1, g), pow(a2 // g, -1, q)
+    (_, y1, y2, _), (_, pivot1, s, _), (_, _, pivot2, _) = ws.basis
     points = []
     for e0 in range(ws.d // a0 + 1):
         r0 = ws.d - a0 * e0
         x0 = e0 - 1
-        t1 = -1 - y1 * x0
-        c1 = -t1 % g
-        if c1 != r0 * inv1 % g:
-            raise AssertionError(f"e1's class mod {g} misses degree {ws.d}")
         hi1 = r0 // a1
         if e0 >= p01 and hi1 >= q01:
             hi1 = q01 - 1
-        if c1 > hi1:
-            continue
-        t2 = -1 - y2 * x0
-        x1 = (c1 + t1) // g - 1
-        for e1 in range(c1, hi1 + 1, g):
-            x1 += 1
+        for e1 in range(r0 * inv1 % g, hi1 + 1, g):
             r1 = r0 - a1 * e1
-            t = t2 - s * x1
-            c2 = -t % q
-            if c2 != r1 // g * inv2 % q:
-                raise AssertionError(f"e2's class mod {q} misses degree {ws.d}")
             hi2 = r1 // a2
             if e0 >= p02 and hi2 >= q02:
                 hi2 = q02 - 1
             if e1 >= p12 and hi2 >= q12:
                 hi2 = q12 - 1
-            if c2 > hi2:
-                continue
-            x2 = (c2 + t) // q - 1
-            for e2 in range(c2, hi2 + 1, q):
-                x2 += 1
+            for e2 in range(r1 // g * inv2 % q, hi2 + 1, q):
                 e3, rem = divmod(r1 - a2 * e2, a3)
                 if rem:
                     raise AssertionError(f"{(e0, e1, e2)} leaves no integral e3")
@@ -270,6 +251,12 @@ def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
                     or e3 >= q13 and e1 >= p13
                     or e3 >= q23 and e2 >= p23
                 ):
+                    x1, rem1 = divmod(e1 - 1 - y1 * x0, pivot1)
+                    x2, rem2 = divmod(e2 - 1 - y2 * x0 - s * x1, pivot2)
+                    if rem1 or rem2:
+                        raise AssertionError(
+                            f"{(e0, e1, e2, e3)} does not have degree {ws.d}"
+                        )
                     points.append((x0, x1, x2))
     return points
 

@@ -766,6 +766,17 @@ def test_search_sub_rejects_limits_below_one(capsys, flag, value):
     assert "must be at least 1" in err
 
 
+def exit_0_1_or_2(argv):
+    """Run main in-process; it must exit 0, 1 or 2 with no internal error.
+    Returns the exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "internal error:" not in err.getvalue()
+    return code, out.getvalue()
+
+
 #: a weight field: a small integer, or a near miss of the weight syntax
 #: (long digit strings are left out: they are not capped yet)
 weight_fields = st.one_of(
@@ -792,13 +803,150 @@ def test_any_weight_list_exits_0_1_or_2(weights):
         ["picard", weights],
         ["search-sub", weights, "--max-depth", "1"],
     ):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2)
-        assert "internal error:" not in err.getvalue()
+        code, out = exit_0_1_or_2(argv)
         if argv[0] == "newton" and code == 0:
-            assert len(parse_points_text(out.getvalue())) >= 4
+            assert len(parse_points_text(out)) >= 4
+
+
+def coordinates(lo, hi):
+    """Point-file coordinates in [lo, hi] (lo <= 0 < 3 <= hi) with
+    denominators up to 4, written as integers, fractions and decimals."""
+    quarters = st.integers(4 * lo, 4 * hi)
+    return st.one_of(
+        st.integers(lo, hi).map(str),
+        st.tuples(quarters, st.integers(1, 4)).map(
+            lambda t: f"{t[0] * t[1] // 4}/{t[1]}"
+        ),
+        quarters.map(lambda n: str(n / 4)),
+        st.sampled_from(["+3", ".5", "3.", "007", "2/04", "-0/3"]),
+    )
+
+
+def point_lines(lo, hi):
+    return st.lists(coordinates(lo, hi), min_size=3, max_size=3).map(" ".join)
+
+
+#: lines that leave a file's cloud as it is: blank, comments, a commented point
+harmless_lines = st.one_of(
+    st.sampled_from(["", "   ", "#", "# a comment", "# 1 2 3"]),
+    point_lines(-6, 6).map(lambda line: line + "  # note"),
+)
+#: near misses of the coordinate grammar
+near_misses = st.sampled_from(
+    ["1/0", "1e2", "1E2", "1_0", "\u0661", "0x1", "1/-2", "--1", "1.5/2", "1//2",
+     "\u00bd", "inf", "nan"]
+)
+#: lines that make a file exit 2: a near miss among two coordinates, or
+#: wrong arity
+bad_lines = st.one_of(
+    st.tuples(coordinates(-6, 6), coordinates(-6, 6), near_misses)
+    .flatmap(st.permutations)
+    .map(" ".join),
+    st.lists(coordinates(-6, 6), min_size=1, max_size=5)
+    .filter(lambda tokens: len(tokens) != 3)
+    .map(" ".join),
+)
+
+
+def axis_points(k):
+    """The six points +-e_i/k: the origin is interior to their hull, and
+    the polar dual of any cloud holding them lies in [-k, k]^3."""
+    return [
+        " ".join(f"{sign}1/{k}" if i == j else "0" for j in range(3))
+        for i in range(3)
+        for sign in ("", "-")
+    ]
+
+
+#: clouds: around the six axis points (the dual stays small, so `points`
+#: on it is quick), in the closed positive octant (the origin is never
+#: interior), and degenerate: points (x, y, c), or (x, x, c) on a line
+clouds = st.one_of(
+    st.tuples(st.integers(1, 4), st.lists(point_lines(-6, 6), max_size=6))
+    .map(lambda t: axis_points(t[0]) + t[1]),
+    st.lists(point_lines(0, 6), min_size=4, max_size=8, unique=True),
+    st.tuples(
+        st.lists(st.tuples(coordinates(-6, 6), coordinates(-6, 6)), min_size=4, max_size=6),
+        coordinates(-6, 6),
+        st.booleans(),
+    ).map(lambda t: [f"{x} {y if t[2] else x} {t[1]}" for x, y in t[0]]),
+)
+
+
+def with_a_bad_line(drawn):
+    lines, bad, at = drawn
+    return "\n".join(lines), "\n".join([*lines[:at], bad, *lines[at:]])
+
+
+#: a cloud among harmless lines in any order, and the same lines with one
+#: bad line put in
+point_files = st.tuples(
+    st.tuples(clouds, st.lists(harmless_lines, max_size=3))
+    .flatmap(lambda t: st.permutations(t[0] + t[1])),
+    bad_lines,
+    st.integers(0, 20),
+).map(with_a_bad_line)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(files=point_files)
+def test_any_point_file_exits_0_1_or_2(tmp_path_factory, files):
+    """A point file is input: every command that reads one ends in an
+    answer, a failed check or an input error, a polar dual it prints is a
+    point file that `points` and `reflexive` read, and one bad line is
+    an input error."""
+    text, broken = files
+    cloud = tmp_path_factory.getbasetemp() / "cloud.txt"
+    cloud.write_text(broken, encoding="utf-8")
+    assert exit_0_1_or_2(["points", str(cloud)])[0] == 2
+    cloud.write_text(text, encoding="utf-8")
+    for command in ("points", "reflexive", "dual", "picard"):
+        code, out = exit_0_1_or_2([command, str(cloud)])
+        if command == "dual" and code == 0:
+            dual = tmp_path_factory.getbasetemp() / "dual.txt"
+            dual.write_text(out, encoding="utf-8")
+            assert exit_0_1_or_2(["points", str(dual)])[0] == 0
+            assert exit_0_1_or_2(["reflexive", str(dual)])[0] == 0
+
+
+SHIPPED_ROWS = json.loads(TABLE_JSON.read_text())
+#: values of the wrong range, type or length for a row field or an element
+#: of one (small weights only: the weights' size is not capped yet)
+wrong_values = st.one_of(
+    st.integers(-1, 30),
+    st.sampled_from(["W^4", "X^2Z", "Y^3", "WXYZ", "Z^2Q", "", "U"]),
+    st.sampled_from([None, True, 2.5, [], [3], [1, 1, 1, 1], [[1, 1, 1, 1]], {"a": 1}]),
+)
+
+
+@st.composite
+def broken_rows(draw):
+    """A shipped row with one field, or one element of it, replaced by a
+    wrong value, or one list field cut short or grown by a repeat."""
+    row = json.loads(json.dumps(draw(st.sampled_from(SHIPPED_ROWS))))
+    field = draw(st.sampled_from(sorted({*row, "bold"})))
+    holder, key, value = row, field, row.get(field)
+    while isinstance(value, list) and value and draw(st.booleans()):
+        holder, key = value, draw(st.integers(0, len(value) - 1))
+        value = holder[key]
+    how = draw(st.sampled_from(["replace", "shorten", "repeat"]))
+    if how == "shorten" and isinstance(value, list) and value:
+        del value[-1]
+    elif how == "repeat" and isinstance(value, list) and value:
+        value.append(value[0])
+    else:
+        holder[key] = draw(wrong_values)
+    return row
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(row=broken_rows())
+def test_any_dataset_row_exits_0_1_or_2(tmp_path_factory, row):
+    """A dataset file is input: a shipped row with one field or element
+    broken verifies, fails a check or is refused, never an internal error."""
+    data = tmp_path_factory.getbasetemp() / "rows.json"
+    data.write_text(json.dumps([row]), encoding="utf-8")
+    exit_0_1_or_2(["verify-table", "--data", str(data), "--format", "kv"])
 
 
 def test_points_file_missing(capsys):

@@ -343,18 +343,20 @@ def tampered(weights, row, column):
 
 
 def test_vertex_candidates_check_the_basis_against_the_degree():
-    """The classes the loop steps through come from the basis; a basis that
-    disagrees with the weights fails the e1 check (y1 moved) or, with e1's
-    classes right, the e2 check (y2 or s moved), before any point is listed."""
+    """The walk reads only the weights, and the basis only in the map of the
+    kept candidates: moving any entry that map reads (y1, y2, the pivot g,
+    s or the pivot q) fails its degree check, and moving any other entry
+    changes nothing."""
     w = (3, 7, 100, 1000)
-    # the loop never reads column 0, so moving it changes nothing
     want = _vertex_candidates(WeightSystem.from_weights(w))
-    assert _vertex_candidates(tampered(w, 0, 0)) == want
-    with pytest.raises(AssertionError, match="e1's class mod 100 misses"):
-        _vertex_candidates(tampered(w, 0, 1))
-    for row, column in ((0, 2), (1, 2)):
-        with pytest.raises(AssertionError, match="e2's class mod 10 misses"):
-            _vertex_candidates(tampered(w, row, column))
+    read = {(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
+    for row in range(3):
+        for column in range(4):
+            if (row, column) in read:
+                with pytest.raises(AssertionError, match="does not have degree"):
+                    _vertex_candidates(tampered(w, row, column))
+            else:
+                assert _vertex_candidates(tampered(w, row, column)) == want
 
 
 def test_newton_polytope_hulls_the_vertex_candidates(monkeypatch):
