@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from . import correspondence, picard
 from .dataset import load_rows, select_rows
@@ -192,7 +193,11 @@ def cmd_amoeba(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and each in-process `main` call would otherwise pay for its
+    eight subparsers again."""
     ap = argparse.ArgumentParser(
         prog="k3corr",
         description="Exact lattice-polytope checks for weighted K3 correspondences",

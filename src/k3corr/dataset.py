@@ -60,11 +60,12 @@ def _record_from_dict(raw: dict) -> RowRecord:
         ids = _ints(raw["ids"])
         weights = tuple(WeightSystem.from_weights(_ints(w)) for w in raw["weights"])
         degrees = _ints(raw["degrees"])
-        if any(not isinstance(m, str) for col in raw["columns"] for m in col):
+        columns = raw["columns"]
+        if type(columns) is not list or any(type(c) is not list for c in columns):
+            raise TypeError("columns must be a JSON list of JSON lists")
+        if any(not isinstance(m, str) for col in columns for m in col):
             raise TypeError("column entries must be monomial strings")
-        columns = tuple(
-            tuple(parse_monomial(m) for m in col) for col in raw["columns"]
-        )
+        columns = tuple(tuple(parse_monomial(m) for m in col) for col in columns)
         lattice = raw["lattice"]
         if not isinstance(lattice, str):
             raise TypeError(f"lattice {lattice!r} is not a JSON string")

@@ -12,19 +12,22 @@ result.  Clouds that are distinct integer triples already skip `hull` and
 go to the mesh and the builder directly: a Newton polytope's few vertex
 candidates (`weights.newton_polytope`), in lexicographic order, and a
 search child's points.  The builder takes the cloud in any order and reads
-the mesh in one pass: it numbers the planes once, finds the vertices in one
-membership pass over the planes' corner sets, pairs the facets that share
-two vertices into edges, and checks what it reads: 3 or more vertices per
-facet, Euler's relation, each facet's plane through its vertices and every
-cloud point contained.  The mesh is the one source of the combinatorics:
+the mesh in one pass: it groups the triangles by facet plane and hands the
+planes with their corner sets to the one step that makes a polytope, which
+finds the vertices in one membership pass over the corner sets, sorts
+vertices and facets, checks 3 or more vertices per facet and pairs the
+facets that share two vertices into edges.  The builder then checks
+Euler's relation, each facet's plane through its vertices and every cloud
+point contained.  The mesh is the one source of the combinatorics:
 vertices in lexicographic order, facets as primitive inward inequalities
-<n, x> >= -c, the full facet/vertex incidence, and edges with the two facets
-meeting in each.  Per-face lattice point counts follow in closed form from that
-incidence (gcd and Pick); read both ways, it gives the polar dual and its
-counts with no dual hull.  The lattice-point list is a cached scan of the
-columns under the polytope's shadow.  The columns of the vertex-facet pairing
-matrix <n, v> + c, each sorted, are the GL(3, Z)-invariant vertex
-signatures; sorted, they are the key that buckets polytopes before the exact
+<n, x> >= -c, the full facet/vertex incidence, and edges with the two
+facets meeting in each.  Per-face lattice point counts follow in closed
+form from that incidence (gcd and Pick); read both ways, it gives the polar
+dual's points and planes, built by the same step with no dual hull, and
+its counts.  The lattice-point list is a cached scan of the columns under
+the polytope's shadow.  The columns of the vertex-facet pairing matrix
+<n, v> + c, each sorted, are the GL(3, Z)-invariant vertex signatures;
+sorted, they are the key that buckets polytopes before the exact
 equivalence test, which fits only vertex triples whose signatures match.
 """
 
@@ -341,54 +344,37 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     return _from_mesh(cloud, scale, _triangle_hull(ipts))
 
 
-def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
-    """The polytope of a duplicate-free cloud, in any order, from its
-    triangle mesh, read in one pass.
+def _assemble(points: Sequence, planes: list, corners: list[set[int]]) -> Polytope3:
+    """The polytope with facet planes `planes`, each ((nx, ny, nz), c) in
+    the inward form <n, x> >= -c, where `corners[k]` holds the indices into
+    `points` of the points on plane k.  The one place a Polytope3 is made.
 
-    `mesh` is :func:`_triangle_hull` of the cloud scaled by `scale` (the
-    cloud itself when `scale` is 1).  One loop over the triangles groups
-    their corners by facet plane, one membership pass over those corner sets
-    finds the vertices and one loop gives each facet its rank and its
-    vertices.  Two facets of a 3-polytope meet in a face, so two that share
-    two vertices meet in the edge those two span: with the facets listed at
+    A point on three or more planes is a vertex (two facets of a 3-polytope
+    share at most an edge), found by one membership pass over the corner
+    sets.  Vertices are numbered in lexicographic order and facets in
+    sorted plane order, so a polytope's fields do not depend on the order
+    in which its points or planes came.  Each facet lists its vertices in
+    ascending order; one with fewer than 3 raises AssertionError.
+    Two facets of a 3-polytope meet in a face, so two that share two
+    vertices meet in the edge those two span: with the facets listed at
     each vertex, a facet pairs with the earlier facets listed at two of its
-    vertices and never looks at a facet it does not touch.  Checks that
-    every facet has at least 3 vertices, that Euler's relation holds, that
-    each facet's plane passes through its vertices and that every cloud
-    point is contained, and raises AssertionError otherwise.
+    vertices and never looks at a facet it does not touch.  As the later
+    facet's list is ascending, each edge is (i, j) with i < j and its facets
+    are (f, g) with f < g; the edges are in sorted order.
     """
-    # group the triangles by facet plane (inward form <n, x> >= -c, made
-    # primitive by one gcd, which divides the offset as the corners are
-    # integers), numbering the planes as they are first seen
-    ids: dict[tuple[int, int, int, int], int] = {}
-    corners: list[set[int]] = []
-    for (a, b, c), (gx, gy, gz, s) in mesh.items():
-        d = gcd(gx, gy, gz)
-        f = ids.setdefault((-gx // d, -gy // d, -gz // d, s // d), len(corners))
-        if f < len(corners):
-            corners[f].update((a, b, c))
-        else:
-            corners.append({a, b, c})
-
-    # a corner on three or more facet planes is a vertex (two facets of a
-    # 3-polytope share at most an edge), numbered in lexicographic order
     once, twice, on3 = set(), set(), set()
     for plane in corners:
         on3 |= twice & plane
         twice |= once & plane
         once |= plane
-    vertex_ids = sorted(on3, key=cloud.__getitem__)
+    vertex_ids = sorted(on3, key=points.__getitem__)
     renumber = {old: new for new, old in enumerate(vertex_ids)}
-    vertices = tuple([cloud[i] for i in vertex_ids])
 
-    # the facets in sorted plane order, each listed at its vertices; facet
-    # f pairs with each earlier facet g met at two of its vertices (two
-    # facets share no more), and as fv is sorted the first is the lesser end
     facets, facet_vertices, pairs = [], [], []
     at: list[list[int]] = [[] for _ in vertex_ids]
-    for f, ((nx, ny, nz, s), plane_id) in enumerate(sorted(ids.items())):
-        facets.append(((nx, ny, nz), s if scale == 1 else _exact(Fraction(s, scale))))
-        fv = sorted([renumber[i] for i in corners[plane_id] & on3])
+    for f, k in enumerate(sorted(range(len(planes)), key=planes.__getitem__)):
+        facets.append(planes[k])
+        fv = sorted([renumber[i] for i in corners[k] & on3])
         if len(fv) < 3:
             raise AssertionError("facet with fewer than 3 vertices")
         facet_vertices.append(tuple(fv))
@@ -402,10 +388,46 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
             at[i].append(f)
     pairs.sort()
     edges, edge_facets = zip(*pairs)
+    vertices = tuple([points[i] for i in vertex_ids])
+    return Polytope3(
+        vertices, tuple(facets), tuple(facet_vertices), edges, edge_facets
+    )
 
-    if len(vertices) - len(edges) + len(facets) != 2:
+
+def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
+    """The polytope of a duplicate-free cloud, in any order, from its
+    triangle mesh, read in one pass.
+
+    `mesh` is :func:`_triangle_hull` of the cloud scaled by `scale` (the
+    cloud itself when `scale` is 1).  One loop over the triangles groups
+    their corners by facet plane, and :func:`_assemble` builds the polytope
+    from the planes and their corner sets.  Then checks that Euler's
+    relation holds, that each facet's plane passes through its vertices and
+    that every cloud point is contained, and raises AssertionError
+    otherwise.
+    """
+    # group the triangles by facet plane (inward form <n, x> >= -c, made
+    # primitive by one gcd, which divides the offset as the corners are
+    # integers), numbering the planes as they are first seen
+    ids: dict[tuple[int, int, int, int], int] = {}
+    corners: list[set[int]] = []
+    for (a, b, c), (gx, gy, gz, s) in mesh.items():
+        d = gcd(gx, gy, gz)
+        f = ids.setdefault((-gx // d, -gy // d, -gz // d, s // d), len(corners))
+        if f < len(corners):
+            corners[f].update((a, b, c))
+        else:
+            corners.append({a, b, c})
+    planes = [
+        ((nx, ny, nz), s if scale == 1 else _exact(Fraction(s, scale)))
+        for nx, ny, nz, s in ids
+    ]
+    p = _assemble(cloud, planes, corners)
+
+    vertices, facets = p.vertices, p.facets
+    if len(vertices) - len(p.edges) + len(facets) != 2:
         raise AssertionError("Euler relation violated; hull is inconsistent")
-    for ((nx, ny, nz), c), fv in zip(facets, facet_vertices):
+    for ((nx, ny, nz), c), fv in zip(facets, p.facet_vertices):
         for i in fv:
             x, y, z = vertices[i]
             if nx * x + ny * y + nz * z != -c:
@@ -414,24 +436,21 @@ def _from_mesh(cloud: list, scale: int, mesh: dict[tuple, tuple]) -> Polytope3:
         for x, y, z in cloud:
             if nx * x + ny * y + nz * z < -c:
                 raise AssertionError("hull drops an input point")
-    return Polytope3(
-        vertices, tuple(facets), tuple(facet_vertices), edges, edge_facets
-    )
+    return p
 
 
 def polar_dual(p: Polytope3) -> Polytope3:
     """Polar dual {y : <x, y> >= -1 for all x in p}; needs origin interior.
 
-    Read off p's incidence, with no hull.  Facet f = (n, c) of p is the
-    vertex n/c, and vertex v of p the facet <v, y> >= -1, made primitive:
-    with L the lcm of v's denominators and G the gcd of L v, it is (L v / G,
-    L / G).  That facet's vertices are p's facets through v, and the edge
-    of p between facets f and g, with ends i and j, is the dual edge from
-    f to g, on the dual facets of i and j.  Vertices and facets are then
-    renumbered into sorted order, as `hull` gives them, so (p*)* = p
-    exactly, for rational p too.  A coordinate that c divides is an int,
-    and so is an offset that G divides: a reflexive p (every c is 1, every
-    vertex primitive) has an integer dual, built with no Fraction.
+    Read off p's incidence and built by the shared step :func:`_assemble`,
+    with no hull.  Facet f = (n, c) of p is the point n/c, and vertex v of
+    p the plane <v, y> >= -1, made primitive: with L the lcm of v's
+    denominators and G the gcd of L v, it is (L v / G, L / G).  The points
+    on that plane are p's facets through v.  The step orders vertices and
+    facets as `hull` does, so (p*)* = p exactly, for rational p too.  A
+    coordinate that c divides is an int, and so is an offset that G
+    divides: a reflexive p (every c is 1, every vertex primitive) has an
+    integer dual, built with no Fraction.
     """
     if not p.origin_interior:
         raise OriginNotInterior("polar dual needs the origin strictly inside")
@@ -445,28 +464,11 @@ def polar_dual(p: Polytope3) -> Polytope3:
         g = gcd(*m)
         offset = scale // g if not scale % g else Fraction(scale, g)
         planes.append((tuple([x // g for x in m]), offset))
-    # the dual's number for p's facet f (a dual vertex) and vertex i (a facet)
-    vertex_order = sorted(range(len(points)), key=points.__getitem__)
-    facet_order = sorted(range(len(planes)), key=planes.__getitem__)
-    new_vertex = {old: new for new, old in enumerate(vertex_order)}
-    new_facet = {old: new for new, old in enumerate(facet_order)}
-    through: list[list[int]] = [[] for _ in planes]
+    through: list[set[int]] = [set() for _ in planes]
     for f, fv in enumerate(p.facet_vertices):
         for i in fv:
-            through[i].append(new_vertex[f])
-    pairs = []
-    for (i, j), (f, g) in zip(p.edges, p.edge_facets):
-        f, g, i, j = new_vertex[f], new_vertex[g], new_facet[i], new_facet[j]
-        pairs.append(((f, g) if f < g else (g, f), (i, j) if i < j else (j, i)))
-    pairs.sort()
-    edges, edge_facets = zip(*pairs)
-    return Polytope3(
-        tuple([points[f] for f in vertex_order]),
-        tuple([planes[i] for i in facet_order]),
-        tuple([tuple(sorted(through[i])) for i in facet_order]),
-        edges,
-        edge_facets,
-    )
+            through[i].add(f)
+    return _assemble(points, planes, through)
 
 
 def is_reflexive(p: Polytope3) -> bool:

@@ -6,16 +6,19 @@ the rank-3 lattice of degree-zero exponent vectors, a row HNF that
 `intlinalg.kernel_basis` writes in closed form.  An anticanonical monomial
 maps to the coordinates of e - (1, 1, 1, 1) in that basis.  The basis's
 left 3x3 block is upper triangular with pivots 1, g = gcd(a2, a3) and
-a3/g, so back-substitution gives the coordinates of a lattice vector.  The
-Newton polytope meshes only the monomials that can be its vertices: a
-monomial that is the midpoint of two others along a degree-zero step
-between two variables is never listed.  That loop walks the exponents of
-degree d only, e1 through the one class mod g and e2 through the one class
-mod a3/g that the degree picks, and maps only the kept monomials to
-coordinates, each checked as `exponent_point` checks it.  The number of
-anticanonical monomials comes from a recurrence, listing none.  The weight
-tetrahedron's points are enumerated in coordinates only when the
-candidates are degenerate, so that the error message is the whole cloud's.
+a3/g, so back-substitution gives the coordinates of a lattice vector.  One
+walk lists both the weight tetrahedron's points and the Newton polytope's
+vertex candidates.  It visits the exponents of degree d only, e1 through
+the one class mod g and e2 through the one class mod a3/g that the degree
+picks, drops those that fail six pair tests whose thresholds it takes as
+data, and maps only the kept exponents to coordinates, each checked as
+`exponent_point` checks it.  The Newton polytope meshes only the monomials
+that can be its vertices: a monomial that is the midpoint of two others
+along a degree-zero step between two variables fails a pair test.  The
+tetrahedron's points take thresholds d + 1, which no exponent reaches; the
+Newton polytope lists them only when its candidates are degenerate, so
+that the error message is the whole cloud's.  The number of anticanonical
+monomials comes from a recurrence, listing none.
 """
 
 from __future__ import annotations
@@ -169,25 +172,14 @@ class WeightSystem(_WeightFields):
 
 
 def anticanonical_points(ws: WeightSystem) -> tuple[IntVec, ...]:
-    """Lattice points of the weight tetrahedron, enumerated in coordinates.
-
-    With basis rows (1, y1, y2, .), (0, g, s, .), (0, 0, q, .), the point x
-    has e0 = 1 + x0, e1 = c1 + g*x1 (c1 = 1 + y1*x0), e2 = c2 + q*x2 (c2 =
-    1 + y2*x0 + s*x1).  e0 >= 0 and a0*e0 <= d bound x0, e1 >= 0 and a1*e1
-    <= r0 = d - a0*e0 bound x1, e2 >= 0 and a2*e2 <= r0 - a1*e1 (e3 >= 0)
-    bound x2.  Each e_i grows with x_i, so the points come in (e0, e1, e2) order.
+    """Lattice points of the weight tetrahedron: the walk of
+    :func:`_walk_exponents` with every pair threshold at d + 1, which no
+    exponent reaches, so every exponent of degree d is kept.  They come in
+    (e0, e1, e2) order, which is lexicographic in coordinates: x0 = e0 - 1,
+    and the triangular basis makes x1 grow with e1 at fixed x0 and x2 with
+    e2 at fixed x0 and x1.
     """
-    a0, a1, a2, _ = ws.a
-    (_, y1, y2, _), (_, g, s, _), (_, _, q, _) = ws.basis
-    points = []
-    for x0 in range(-1, ws.d // a0):
-        r0 = ws.d - a0 * (x0 + 1)
-        c1 = 1 + y1 * x0
-        for x1 in range(-(c1 // g), (r0 // a1 - c1) // g + 1):
-            c2 = 1 + y2 * x0 + s * x1
-            hi = ((r0 - a1 * (c1 + g * x1)) // a2 - c2) // q
-            points.extend((x0, x1, x2) for x2 in range(-(c2 // q), hi + 1))
-    return tuple(points)
+    return tuple(_walk_exponents(ws, ((ws.d + 1, ws.d + 1),) * 6))
 
 
 @lru_cache(maxsize=1024)
@@ -202,28 +194,25 @@ def anticanonical_count(ws: WeightSystem) -> int:
     return c[ws.d]
 
 
-def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
-    """The anticanonical points that fail none of `newton_polytope`'s six
-    pair tests, in lexicographic order of their sorted exponents.
+def _walk_exponents(ws: WeightSystem, thresholds: Sequence[tuple]) -> list[IntVec]:
+    """The lattice points of the exponents of degree d that fail none of
+    six pair tests, in lexicographic order of their sorted exponents.
 
-    Once e_i >= a_j/g, the test of pair (i, j) bounds e_j by a_i/g - 1, so
+    `thresholds` gives (u, v) for the pairs (i, j) = (0, 1), (0, 2), (0, 3),
+    (1, 2), (1, 3), (2, 3) in that order: e_i >= u and e_j >= v fails the
+    test of pair (i, j).  Once e_i >= u, that test bounds e_j by v - 1, so
     e1 and e2 run only up to their bounds, and e3, fixed by the degree,
     takes its three tests after.  The walk reads only the weights and
     visits only exponents of degree d: g = gcd(a2, a3) divides r1 = r0 -
     a1 e1 (r0 = d - a0 e0), so e1 = r0 / a1 mod g, and a3 divides r1 - a2
     e2, so e2 = (r1/g) / (a2/g) mod q with q = a3/g.  Both inverses exist
-    as the weights are well-posed.  A kept candidate maps to coordinates by
+    as the weights are well-posed.  A kept exponent maps to coordinates by
     the back-substitution of `WeightSystem.exponent_point`, and like it
     raises AssertionError if the basis does not give degree d; so does a
     visited e2 that leaves e3 non-integral.
     """
-    a0, a1, a2, a3 = a = ws.a
-    # pair (i, j) as (a_j/g, a_i/g): e_i >= a_j/g and e_j >= a_i/g fails it
-    (p01, q01), (p02, q02), (p03, q03), (p12, q12), (p13, q13), (p23, q23) = (
-        (a[j] // g, a[i] // g)
-        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-        for g in (gcd(a[i], a[j]),)
-    )
+    a0, a1, a2, a3 = ws.a
+    (p01, q01), (p02, q02), (p03, q03), (p12, q12), (p13, q13), (p23, q23) = thresholds
     g = gcd(a2, a3)
     q = a3 // g
     inv1, inv2 = pow(a1, -1, g), pow(a2 // g, -1, q)
@@ -259,6 +248,18 @@ def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
                         )
                     points.append((x0, x1, x2))
     return points
+
+
+def _vertex_candidates(ws: WeightSystem) -> list[IntVec]:
+    """The anticanonical points that fail none of `newton_polytope`'s six
+    pair tests, in lexicographic order of their sorted exponents: the walk
+    with pair (i, j)'s thresholds at (a_j/g, a_i/g), g = gcd(a_i, a_j)."""
+    a = ws.a
+    return _walk_exponents(ws, [
+        (a[j] // g, a[i] // g)
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        for g in (gcd(a[i], a[j]),)
+    ])
 
 
 @lru_cache(maxsize=1024)

@@ -172,6 +172,18 @@ def test_newton_matches_golden(capsys):
     assert out.encode() == (GOLDEN / "newton.txt").read_bytes()
 
 
+def test_main_builds_one_parser_for_every_call(capsys):
+    """Two commands run through `main` in one process each print their own
+    answer, parsed by the one parser the process builds."""
+    from k3corr.cli import build_parser
+
+    newton = (GOLDEN / "newton.txt").read_text().split("# ")[2]
+    picard = (GOLDEN / "picard_dual.txt").read_text().splitlines(keepends=True)
+    assert run(capsys, "newton", "2,4,5,9") == (0, "# " + newton, "")
+    assert run(capsys, "picard", "1,6,14,21") == (0, "".join(picard[:3]), "")
+    assert build_parser() is build_parser()
+
+
 def test_newton_with_both_lattice_steps_large_matches_golden(capsys):
     """3,7,1000,100000 has g = 1000 and q = 100: the candidate loop visits
     one e1 in a thousand and one e2 in a hundred, and finds the same 8
@@ -415,6 +427,20 @@ QUARTIC_COLUMNS = [["W^4", "W^4"], ["X^4", "X^4"], ["Y^4", "Y^4"]]
             row_json([[1, 1, 1, 1]] * 2, QUARTIC_COLUMNS, lattice=5),
             "not a JSON string",
             id="int-lattice",
+        ),
+        pytest.param(
+            row_json([[1, 3, 8, 12], [1, 2, 5, 7]], "WXYZ", ids=[13, 72]),
+            "bad row record [13, 72]: columns must be a JSON list",
+            id="string-columns",
+        ),
+        pytest.param(
+            row_json(
+                [[1, 3, 8, 12], [1, 2, 5, 7]],
+                ["ZW", "WW", "XX", "XY", "YY", "XZ"],
+                ids=[13, 72],
+            ),
+            "bad row record [13, 72]: columns must be a JSON list",
+            id="string-column",
         ),
     ],
 )

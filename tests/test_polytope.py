@@ -390,8 +390,8 @@ def test_builder_matches_reference_on_table_clouds(rows, monkeypatch):
 
 def test_builder_matches_reference_on_sweep_clouds(monkeypatch):
     """The Newton clouds with d <= 20, of which 228 of the 235 span R^3.
-    Their polar duals are read off the incidence, with no builder call, and
-    are checked by the dual oracle below."""
+    Their polar duals are read off the incidence, with no mesh and no
+    `_from_mesh` call, and are checked by the dual oracle below."""
 
     def run():
         for points in well_posed_newton_clouds(20):
@@ -767,6 +767,18 @@ def test_polar_dual_of_a_reflexive_polytope_builds_no_fraction(monkeypatch, rows
         assert polytope_fields(d) == fields
         assert all(type(x) is int for v in d.vertices for x in v)
         assert all(type(c) is int for _, c in d.facets)
+
+
+def test_polar_dual_rejects_a_facet_listing_a_vertex_off_it():
+    """A cube whose first facet lists a vertex off it in place of one of
+    its own: the dropped vertex is then on two facets, so its dual facet
+    has two vertices, and the shared builder step refuses it."""
+    p = cube()
+    fv = p.facet_vertices[0]
+    off = next(i for i in range(p.n_vertices) if i not in fv)
+    broken = p._replace(facet_vertices=((off,) + fv[1:],) + p.facet_vertices[1:])
+    with pytest.raises(AssertionError, match="^facet with fewer than 3 vertices$"):
+        polar_dual(broken)
 
 
 @settings(max_examples=80, deadline=None)
