@@ -11,12 +11,14 @@ order, so the caller orders the points: the order sets the cost, never the
 result.  Clouds that are distinct integer triples already skip `hull` and
 go to the mesh and the builder directly: a Newton polytope's few vertex
 candidates (`weights.newton_polytope`), in lexicographic order, and a
-search child's points.  The builder takes the cloud in any order and reads
-the mesh in one pass: it groups the triangles by facet plane and hands the
-planes with their corner sets to the one step that makes a polytope, which
-finds the vertices in one membership pass over the corner sets, sorts
-vertices and facets, checks 3 or more vertices per facet and pairs the
-facets that share two vertices into edges.  The builder then checks
+search child's points.  The mesh's seed search alone decides that a cloud
+(the empty one included) spans less than R^3, and its DegeneratePointSet
+names the span.  The builder takes the cloud in any order and reads the
+mesh in one pass: it groups the triangles by facet plane and hands the
+planes with their corner sets to the one step that makes a polytope,
+which finds the vertices in one membership pass over the corner sets,
+sorts vertices and facets, checks 3 or more vertices per facet and pairs
+the facets that share two vertices into edges.  The builder then checks
 Euler's relation, each facet's plane through its vertices and every cloud
 point contained.  The mesh is the one source of the combinatorics:
 vertices in lexicographic order, facets as primitive inward inequalities
@@ -82,12 +84,15 @@ def _triangle_hull(pts: list[tuple[int, int, int]]) -> dict[tuple, tuple]:
     their line (a nonzero cross product, written out) and the first one off
     that plane.  The order sets the triangulation and the cost, never the
     hull: when the first points are known vertices, most later points lie
-    beneath the hull and cost one visibility scan.
+    beneath the hull and cost one visibility scan.  The seed search is the
+    only code that raises DegeneratePointSet: each step fails exactly when
+    the affine span is too small for it, so the message names the span
+    whatever the order or number of points, none included.
     """
     n = len(pts)
     i1 = next((i for i in range(1, n) if pts[i] != pts[0]), None)
     if i1 is None:
-        raise DegeneratePointSet("all points coincide")
+        raise DegeneratePointSet("fewer than 2 distinct points")
     ox, oy, oz = pts[0]
     x, y, z = pts[i1]
     ux, uy, uz = x - ox, y - oy, z - oz
@@ -327,9 +332,10 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     Returns the polytope with its minimal vertex set (lexicographically
     sorted), primitive facet inequalities, incidence and edges, all read off
     the triangle mesh of :func:`_triangle_hull` by :func:`_from_mesh`.
-    Raises DegeneratePointSet when the affine span has dimension < 3.
-    Points are inserted in the order given, the first of repeated points
-    kept: the order sets the cost, never the result.
+    The mesh's seed search raises DegeneratePointSet when the affine span
+    has dimension < 3, as it has for fewer than 4 distinct points.  Points
+    are inserted in the order given, the first of repeated points kept: the
+    order sets the cost, never the result.
 
     Every point is made exact coordinate by coordinate; an int stays as it
     is.  Rational points are scaled to integers by the lcm of their
@@ -337,8 +343,6 @@ def hull(points: Iterable[Sequence]) -> Polytope3:
     round trip: the scale is 1 and the offsets stay ints.
     """
     cloud = list(dict.fromkeys(tuple(map(_exact, p)) for p in points))
-    if len(cloud) < 4:
-        raise DegeneratePointSet("need at least 4 distinct points")
     scale = lcm(*(c.denominator for p in cloud for c in p if type(c) is not int))
     ipts = cloud if scale == 1 else [tuple(int(c * scale) for c in p) for p in cloud]
     return _from_mesh(cloud, scale, _triangle_hull(ipts))

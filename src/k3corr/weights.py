@@ -14,11 +14,11 @@ picks, drops those that fail six pair tests whose thresholds it takes as
 data, and maps only the kept exponents to coordinates, each checked as
 `exponent_point` checks it.  The Newton polytope meshes only the monomials
 that can be its vertices: a monomial that is the midpoint of two others
-along a degree-zero step between two variables fails a pair test.  The
-tetrahedron's points take thresholds d + 1, which no exponent reaches; the
-Newton polytope lists them only when its candidates are degenerate, so
-that the error message is the whole cloud's.  The number of anticanonical
-monomials comes from a recurrence, listing none.
+along a degree-zero step between two variables fails a pair test, so the
+candidates span what the cloud spans and fail the mesh seed with the
+cloud's own message.  The tetrahedron's points take thresholds d + 1,
+which no exponent reaches.  The number of anticanonical monomials comes
+from a recurrence, listing none.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from . import intlinalg
 from .intlinalg import InputError, IntMat, IntVec, K3CorrError, mat_vec, transpose
-from .polytope import DegeneratePointSet, Polytope3, _from_mesh, _triangle_hull, hull
+from .polytope import Polytope3, _from_mesh, _triangle_hull
 
 VARIABLES = "WXYZ"
 
@@ -273,17 +273,13 @@ def newton_polytope(ws: WeightSystem) -> Polytope3:
     too, so e is their midpoint and no vertex: it fails the test of pair
     (i, j).  The monomials that fail none of the six pair tests
     (`_vertex_candidates`) are cloud points holding every vertex, so their
-    hull is the cloud's.  They are distinct integer triples, so they go to
-    the mesh and the builder as they are, with no pass through `hull`.  A
-    degenerate candidate set therefore means a degenerate cloud; the full
-    cloud is hulled then, so the DegeneratePointSet message names the cloud
-    a point, a line or a plane as the cloud's own hull would.
+    convex hull and affine span are the cloud's.  They are distinct integer
+    triples, so they go to the mesh and the builder as they are, with no
+    pass through `hull`; a degenerate cloud fails the mesh seed on them
+    with the message that names the cloud's span, as `hull` would.
     """
     candidates = _vertex_candidates(ws)
-    try:
-        return _from_mesh(candidates, 1, _triangle_hull(candidates))
-    except DegeneratePointSet:
-        return hull(anticanonical_points(ws))
+    return _from_mesh(candidates, 1, _triangle_hull(candidates))
 
 
 def weights_from_text(text: str) -> WeightSystem:

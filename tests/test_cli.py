@@ -172,6 +172,14 @@ def test_newton_matches_golden(capsys):
     assert out.encode() == (GOLDEN / "newton.txt").read_bytes()
 
 
+def test_newton_on_1_1_1_1000_matches_golden(capsys):
+    """504,520 anticanonical monomials, 6 vertex candidates: the vertices,
+    byte for byte, in milliseconds."""
+    code, text, err = run(capsys, "newton", "1,1,1,1000")
+    assert (code, err) == (0, "")
+    assert text.encode() == (GOLDEN / "newton_1000.txt").read_bytes()
+
+
 def test_main_builds_one_parser_for_every_call(capsys):
     """Two commands run through `main` in one process each print their own
     answer, parsed by the one parser the process builds."""
@@ -775,11 +783,27 @@ def test_bad_weights_exit_code(capsys):
 
 @pytest.mark.parametrize("command", ["newton", "picard", "search-sub"])
 def test_degenerate_newton_polytope_exit_code(capsys, command):
-    # the anticanonical monomials of (7,11,13,17) span only a plane
-    code, out, err = run(capsys, command, "7,11,13,17")
-    assert code == 2
-    assert out == ""
-    assert err == "error: 7,11,13,17: points are coplanar\n"
+    # the anticanonical monomials span a plane (4 monomials), a line (3)
+    # and a point (WXYZ alone)
+    for weights, message in (
+        ("7,11,13,17", "points are coplanar"),
+        ("6,7,7,9", "points are collinear"),
+        ("1000003,1000033,1000037,1000039", "fewer than 2 distinct points"),
+    ):
+        code, out, err = run(capsys, command, weights)
+        assert (code, out) == (2, "")
+        assert err == f"error: {weights}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["points", "dual", "reflexive", "picard"])
+def test_point_file_of_comments_only_exits_2(tmp_path, capsys, command):
+    """A point file with no points fails the mesh seed like any other
+    degenerate set, with the same one-line message."""
+    f = tmp_path / "empty.txt"
+    f.write_text("# no points\n\n# none here either\n")
+    code, out, err = run(capsys, command, str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: {f}: fewer than 2 distinct points\n"
 
 
 @pytest.mark.parametrize(

@@ -260,16 +260,18 @@ def test_table_pass_hulls_each_point_set_once(rows, monkeypatch):
     monkeypatch.setattr(weights, "anticanonical_points", listing)
     calls = Counter()
     for module in (correspondence, weights):
-        def counting(points, module=module, real=module.hull):
-            calls[module.__name__, "hull"] += 1
-            return real(points)
-
         def building(cloud, scale, mesh, module=module, real=module._from_mesh):
             calls[module.__name__, "_from_mesh"] += 1
             return real(cloud, scale, mesh)
 
-        monkeypatch.setattr(module, "hull", counting)
         monkeypatch.setattr(module, "_from_mesh", building)
+
+    # weights imports no hull: its Newton polytopes go to the builder only
+    def counting(points, real=correspondence.hull):
+        calls[correspondence.__name__, "hull"] += 1
+        return real(points)
+
+    monkeypatch.setattr(correspondence, "hull", counting)
     asked = set()
 
     def recording(ws, real=correspondence.newton_polytope):

@@ -541,9 +541,9 @@ def test_triangle_hull_records_outward_normal_and_offset(points):
 @pytest.mark.parametrize(
     "points, message",
     [
-        ([], "all points coincide"),
-        ([(1, 2, 3)], "all points coincide"),
-        ([(1, 2, 3)] * 4, "all points coincide"),
+        ([], "fewer than 2 distinct points"),
+        ([(1, 2, 3)], "fewer than 2 distinct points"),
+        ([(1, 2, 3)] * 4, "fewer than 2 distinct points"),
         ([(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, -1, -1)], "points are collinear"),
         ([(0, 0, 0), (0, 0, 0), (1, 0, 0)], "points are collinear"),
         ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)], "points are coplanar"),
@@ -553,6 +553,26 @@ def test_triangle_hull_records_outward_normal_and_offset(points):
 def test_triangle_hull_degenerate_inputs_keep_their_messages(points, message):
     with pytest.raises(DegeneratePointSet, match=f"^{message}$"):
         polytope._triangle_hull(points)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([], "fewer than 2 distinct points"),
+        ([(1, 2, 3)], "fewer than 2 distinct points"),
+        ([(1, 2, 3)] * 4, "fewer than 2 distinct points"),
+        ([(0, 0, 0), (1, 2, 3)], "points are collinear"),
+        ([(0, 0, 0), (1, 2, 3), (2, 4, 6)], "points are collinear"),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], "points are coplanar"),
+        ([(0, 0, 0), (Fraction(1, 2), 0, 0), (0, 0, Fraction(1, 3))],
+         "points are coplanar"),
+    ],
+)
+def test_hull_of_fewer_than_4_distinct_points_names_their_span(points, message):
+    """`hull` has no size check of its own: 0 to 3 distinct points fail the
+    mesh's seed search, whose message names what they span."""
+    with pytest.raises(DegeneratePointSet, match=f"^{message}$"):
+        hull(points)
 
 
 @settings(max_examples=60, deadline=None)

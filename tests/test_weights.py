@@ -360,36 +360,40 @@ def test_vertex_candidates_check_the_basis_against_the_degree():
 
 
 def test_newton_polytope_hulls_the_vertex_candidates(monkeypatch):
-    """The candidates go to the mesh as they are; `hull` sees only the full
-    cloud of a degenerate candidate set."""
-    from k3corr import weights
+    """The candidates go to the mesh as they are, degenerate or not: no
+    cloud is listed and nothing passes through `hull`."""
+    from k3corr import polytope, weights
 
-    meshed, hulled = [], []
+    meshed = []
 
     def meshing(points, real=weights._triangle_hull):
         meshed.append(points)
         return real(points)
 
-    def hulling(points, real=weights.hull):
-        hulled.append(points)
-        return real(points)
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"newton_polytope called {name}")
+        return call
 
     monkeypatch.setattr(weights, "_triangle_hull", meshing)
-    monkeypatch.setattr(weights, "hull", hulling)
+    monkeypatch.setattr(polytope, "hull", forbidden("hull"))
+    monkeypatch.setattr(weights, "hull", forbidden("hull"), raising=False)
+    monkeypatch.setattr(
+        weights, "anticanonical_points", forbidden("anticanonical_points")
+    )
     for w in ((2, 4, 5, 9), (1, 6, 14, 21), (1, 1, 1, 200)):
         ws = WeightSystem.from_weights(w)
         newton_polytope.__wrapped__(ws)
-        assert (meshed, hulled) == ([_vertex_candidates(ws)], [])
+        assert meshed == [_vertex_candidates(ws)]
         meshed.clear()
-    # both have 4 coplanar candidates (of 4 and of 44 monomials): the full
-    # cloud is hulled after them, so that the message is the cloud's
+    # both have 4 coplanar candidates (of 4 and of 44 monomials), which
+    # span the cloud's plane: the mesh seed names it
     for w in ((7, 11, 13, 17), (3, 3, 50, 64)):
         ws = WeightSystem.from_weights(w)
-        with pytest.raises(DegeneratePointSet, match="points are coplanar"):
+        with pytest.raises(DegeneratePointSet, match="^points are coplanar$"):
             newton_polytope.__wrapped__(ws)
-        assert (meshed, hulled) == ([_vertex_candidates(ws)], [anticanonical_points(ws)])
+        assert meshed == [_vertex_candidates(ws)]
         meshed.clear()
-        hulled.clear()
     # on the quartic a monomial with two exponents >= 1 is a midpoint, so
     # only the four vertices are hulled
     ws = WeightSystem.from_weights([1, 1, 1, 1])
